@@ -14,9 +14,12 @@
 //   - every handle must be completed (Wait, or Test to completion) before
 //     the image's body returns.
 //
-// Operations of different kinds — or different element types/operations —
-// may be in flight together and interleave freely; repeated operations of
-// the same kind are internally serialized per image in initiation order.
+// The unit of serialization is (kind, team): operations of different kinds,
+// or on different teams, may be in flight together and interleave freely;
+// repeated operations of the same kind on the same team — whatever their
+// element type or reduction operation — run one after the other per image,
+// in initiation order. A blocking collective of that kind and team first
+// completes them.
 package caf
 
 import (

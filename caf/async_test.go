@@ -151,12 +151,12 @@ func TestAsyncInsideChangeTeam(t *testing.T) {
 }
 
 // TestAsyncTunedAlgorithm: Tuning pins the async path like the blocking
-// path — an nb name selected through WithAlgorithm runs the machine on both.
+// path — an algorithm selected through WithAlgorithm runs on both.
 func TestAsyncTunedAlgorithm(t *testing.T) {
-	cfg := Config{Spec: "8(2)"}.WithAlgorithm(KindAllreduce, "nb-rd")
+	cfg := Config{Spec: "8(2)"}.WithAlgorithm(KindAllreduce, "rd")
 	_, err := Run(cfg, func(im *Image) {
 		v := []float64{1}
-		im.CoSum(v) // blocking call dispatched to the nb machine
+		im.CoSum(v)
 		if v[0] != 8 {
 			t.Errorf("tuned blocking co_sum = %v, want 8", v[0])
 		}

@@ -144,28 +144,46 @@ func TestNewCoarrayTTypedAllocation(t *testing.T) {
 }
 
 // TestWithAlgorithmSelection: every registered allreduce algorithm must be
-// reachable through the public API and produce the same result.
+// reachable through the public API, blocking and split-phase (the subtest
+// "nb-<alg>" runs CoSumAsync), and produce the same result.
 func TestWithAlgorithmSelection(t *testing.T) {
 	for _, name := range Algorithms(KindAllreduce) {
-		t.Run(name, func(t *testing.T) {
-			cfg := Config{Spec: "16(4)"}.WithAlgorithm(KindAllreduce, name)
-			_, err := Run(cfg, func(im *Image) {
-				x := make([]float64, 20)
-				for i := range x {
-					x[i] = float64(im.ThisImage() * (i + 1))
-				}
-				im.CoSum(x)
-				for i := range x {
-					if want := float64(136 * (i + 1)); x[i] != want { // 1+..+16 = 136
-						t.Errorf("alg %s: elem %d = %v, want %v", name, i, x[i], want)
-						return
-					}
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
+		for _, split := range []bool{false, true} {
+			name, split := name, split
+			label := name
+			if split {
+				label = "nb-" + name
 			}
-		})
+			t.Run(label, func(t *testing.T) {
+				testAlgorithmSelection(t, name, split)
+			})
+		}
+	}
+}
+
+func testAlgorithmSelection(t *testing.T, name string, split bool) {
+	cfg := Config{Spec: "16(4)"}.WithAlgorithm(KindAllreduce, name)
+	_, err := Run(cfg, func(im *Image) {
+		x := make([]float64, 20)
+		for i := range x {
+			x[i] = float64(im.ThisImage() * (i + 1))
+		}
+		if split {
+			h := im.CoSumAsync(x)
+			im.Compute(5000)
+			h.Wait()
+		} else {
+			im.CoSum(x)
+		}
+		for i := range x {
+			if want := float64(136 * (i + 1)); x[i] != want { // 1+..+16 = 136
+				t.Errorf("alg %s: elem %d = %v, want %v", name, i, x[i], want)
+				return
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -94,7 +94,7 @@ func main() {
 		fmt.Println()
 	}
 
-	run("overlap", overlap, "Overlap: blocking vs split-phase (nb-*) co_sum with compute between initiate and wait", "2level blocking (compute; co_sum)")
+	run("overlap", overlap, "Overlap: blocking vs split-phase co_sum with compute between initiate and wait", "2level blocking (compute; co_sum)")
 	run("e1", e1, "E1: barrier on a flat hierarchy (1 image/node) — TDLB vs dissemination parity", "GASNet RDMA dissemination")
 	run("e2", e2, "E2: barrier with 8 images/node — TDLB vs the comparator stacks (paper: up to 26x over the UHCAF baseline)", "TDLB (2-level)")
 	run("e3", e3, "E3: all-to-all reduction with 8 images/node (paper: up to 74x)", "two-level reduction")

@@ -43,17 +43,20 @@ func captureStdout(t *testing.T, fn func()) string {
 }
 
 // TestAlgSweepList: the `-alg list` path prints every kind with its
-// registry names, including the split-phase entries.
+// registry names; split-phase is a way to run any of them, not a name.
 func TestAlgSweepList(t *testing.T) {
 	out := captureStdout(t, func() {
 		if err := runAlgSweep("list", "", 8, 1, false, "sim", ""); err != nil {
 			t.Errorf("alg list: %v", err)
 		}
 	})
-	for _, want := range []string{"barrier", "allreduce", "tdlb", "nb-rd", "nb-2level", "nb-binomial", "nb-ring"} {
+	for _, want := range []string{"barrier", "allreduce", "tdlb", "rd", "2level", "binomial", "ring"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("alg list output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "nb-") {
+		t.Fatalf("alg list output lists a split-phase name:\n%s", out)
 	}
 }
 
@@ -61,11 +64,11 @@ func TestAlgSweepList(t *testing.T) {
 // requested algorithms.
 func TestAlgSweepMeasures(t *testing.T) {
 	out := captureStdout(t, func() {
-		if err := runAlgSweep("allreduce/rd,allreduce/nb-rd,barrier/tdlb", "8(2)", 4, 1, false, "sim", ""); err != nil {
+		if err := runAlgSweep("allreduce/rd,allreduce/2level,barrier/tdlb", "8(2)", 4, 1, false, "sim", ""); err != nil {
 			t.Errorf("alg sweep: %v", err)
 		}
 	})
-	for _, want := range []string{"allreduce/rd", "allreduce/nb-rd", "barrier/tdlb", "latency/op"} {
+	for _, want := range []string{"allreduce/rd", "allreduce/2level", "barrier/tdlb", "latency/op"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("sweep output missing %q:\n%s", want, out)
 		}
@@ -76,19 +79,21 @@ func TestAlgSweepMeasures(t *testing.T) {
 // (spec, comparator).
 func TestAlgSweepCSV(t *testing.T) {
 	out := captureStdout(t, func() {
-		if err := runAlgSweep("bcast/nb-2level", "8(2)", 4, 1, true, "sim", ""); err != nil {
+		if err := runAlgSweep("bcast/2level", "8(2)", 4, 1, true, "sim", ""); err != nil {
 			t.Errorf("alg csv sweep: %v", err)
 		}
 	})
-	if !strings.Contains(out, "spec,comparator") || !strings.Contains(out, "bcast/nb-2level") {
+	if !strings.Contains(out, "spec,comparator") || !strings.Contains(out, "bcast/2level") {
 		t.Fatalf("csv sweep output malformed:\n%s", out)
 	}
 }
 
 // TestAlgSweepRejectsUnknown pins the error path.
 func TestAlgSweepRejectsUnknown(t *testing.T) {
-	if err := runAlgSweep("allreduce/no-such-alg", "8(2)", 4, 1, false, "sim", ""); err == nil {
-		t.Fatal("unknown algorithm accepted")
+	for _, alg := range []string{"allreduce/no-such-alg", "allreduce/nb-rd"} {
+		if err := runAlgSweep(alg, "8(2)", 4, 1, false, "sim", ""); err == nil {
+			t.Fatalf("unknown algorithm %s accepted", alg)
+		}
 	}
 	if err := runAlgSweep("nokind/rd", "8(2)", 4, 1, false, "sim", ""); err == nil {
 		t.Fatal("unknown kind accepted")

@@ -213,30 +213,22 @@ func RegistryComparators(k core.Kind) []Comparator {
 // comparison for a compute+co_sum episode — the pattern of the CG dot
 // product and the heat2d residual check. Each episode charges flops of
 // independent local work and performs one allreduce of the benchmark
-// vector:
+// vector with the KindAllreduce registry algorithm alg:
 //
 //	blocking:   compute; allreduce(alg)
-//	overlapped: initiate(async counterpart of alg); compute; wait
+//	overlapped: start(alg); compute; wait
 //
 // The overlapped side progresses the collective's rounds behind the compute
 // (Image.Compute polls the progress engine), so its episode time approaches
-// max(compute, collective) instead of their sum. alg is a blocking
-// KindAllreduce registry name; the overlapped side runs the split-phase
-// machine core.AsyncCounterpart maps it to.
+// max(compute, collective) instead of their sum.
 func OverlapComparator(alg string, flops float64, overlapped bool) Comparator {
-	name := fmt.Sprintf("%s blocking (compute; co_sum)", alg)
 	if overlapped {
-		nb, ok := core.AsyncCounterpart(core.KindAllreduce, alg)
-		if !ok {
-			panic(fmt.Sprintf("bench: allreduce/%s has no async counterpart", alg))
-		}
-		name = fmt.Sprintf("%s overlapped (init; compute; wait)", nb)
 		return Comparator{
-			Name:    name,
+			Name:    fmt.Sprintf("%s overlapped (init; compute; wait)", alg),
 			Conduit: machine.ConduitGASNetRDMA,
 			Run: func(v *team.View, buf []float64, iters int) {
 				for i := 0; i < iters; i++ {
-					h := core.StartAllreduce(nb, v, buf, coll.Sum)
+					h := core.StartAllreduce(alg, v, buf, coll.Sum)
 					v.Img.Compute(flops)
 					h.Wait()
 				}
@@ -244,7 +236,7 @@ func OverlapComparator(alg string, flops float64, overlapped bool) Comparator {
 		}
 	}
 	return Comparator{
-		Name:    name,
+		Name:    fmt.Sprintf("%s blocking (compute; co_sum)", alg),
 		Conduit: machine.ConduitGASNetRDMA,
 		Run: func(v *team.View, buf []float64, iters int) {
 			for i := 0; i < iters; i++ {

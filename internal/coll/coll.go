@@ -197,9 +197,7 @@ func scratch[T any](v *team.View, alg string, elems, regions int) (*pgas.Coarray
 func newScratch[T any](v *team.View, alg string, cap_, regions int) *pgas.Coarray[T] {
 	name := fmt.Sprintf("coll:%s:%s:team%d:cap%d", alg, tag[T](), v.T.ID(), cap_)
 	w := v.Img.World()
-	members := make([]int, v.T.Size())
-	copy(members, v.T.Members())
-	return pgas.NewTeamCoarray[T](w, name, cap_*regions, members)
+	return pgas.NewTeamCoarray[T](w, name, cap_*regions, v.T.Members())
 }
 
 // rootScratch returns a scratch slab allocated only on the team's root image

@@ -57,9 +57,7 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 	full := cap_ * sz
 	stepRegion := cap_ * maxGroup
 	name := fmt.Sprintf("core:%s:team%d:cap%d", alg, t.ID(), cap_)
-	members := make([]int, sz)
-	copy(members, t.Members())
-	co := pgas.NewTeamCoarray[T](w, name, 2*(full+steps*stepRegion), members)
+	co := pgas.NewTeamCoarray[T](w, name, 2*(full+steps*stepRegion), t.Members())
 	base := parity * (full + steps*stepRegion)
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)

@@ -3,19 +3,19 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/sim"
 	"cafteams/internal/team"
+	"cafteams/internal/topology"
 )
 
-// TestAsyncAgreementWithBlocking runs every async collective next to its
-// blocking counterpart on the cross-validation shapes and checks
-// bit-identical results (the registry cross-validation also covers this via
-// the nb-* table entries; this test additionally drives the true split-phase
-// path — initiate, compute, wait — rather than initiate+immediate-wait).
+// TestAsyncAgreementWithBlocking runs split-phase collectives next to
+// blocking ones on the cross-validation shapes, in one image program, and
+// checks bit-identical results.
 func TestAsyncAgreementWithBlocking(t *testing.T) {
 	for _, spec := range crossShapes {
 		t.Run(spec, func(t *testing.T) {
@@ -32,7 +32,7 @@ func TestAsyncAgreementWithBlocking(t *testing.T) {
 						async[i] = blocking[i]
 					}
 					RunAllreduce("rd", v, blocking, coll.Sum)
-					h := StartAllreduce("nb-rd", v, async, coll.Sum)
+					h := StartAllreduce("rd", v, async, coll.Sum)
 					im.Compute(5000) // overlap window: rounds progress in here
 					h.Wait()
 					for i := range blocking {
@@ -52,7 +52,7 @@ func TestAsyncAgreementWithBlocking(t *testing.T) {
 						}
 					}
 					RunBroadcast("2level", v, root, bbuf)
-					hb := StartBroadcast("nb-2level", v, root, abuf)
+					hb := StartBroadcast("2level", v, root, abuf)
 					im.Compute(5000)
 					hb.Wait()
 					for i := range bbuf {
@@ -66,7 +66,7 @@ func TestAsyncAgreementWithBlocking(t *testing.T) {
 					bout := make([]float64, n)
 					aout := make([]float64, n)
 					RunAllgather("ring", v, mine, bout)
-					hg := StartAllgather("nb-2level", v, mine, aout)
+					hg := StartAllgather("2level", v, mine, aout)
 					im.Compute(5000)
 					hg.Wait()
 					for i := range bout {
@@ -98,7 +98,7 @@ func TestAsyncOverlapHidesCollectiveLatency(t *testing.T) {
 			}
 			for ep := 0; ep < 5; ep++ {
 				if overlapped {
-					h := StartAllreduce("nb-2level", v, buf, coll.Sum)
+					h := StartAllreduce("2level", v, buf, coll.Sum)
 					im.Compute(flops)
 					h.Wait()
 				} else {
@@ -131,8 +131,8 @@ func TestAsyncConcurrentHandles(t *testing.T) {
 		if v.Rank == 2 {
 			bc[0] = 42
 		}
-		h1 := StartAllreduce("nb-2level", v, sum, coll.Sum)
-		h2 := StartBroadcast("nb-binomial", v, 2, bc)
+		h1 := StartAllreduce("2level", v, sum, coll.Sum)
+		h2 := StartBroadcast("binomial", v, 2, bc)
 		p.Barrier(v) // a blocking collective while two handles are pending
 		im.Compute(20000)
 		h2.Wait()
@@ -150,9 +150,9 @@ func TestAsyncConcurrentHandles(t *testing.T) {
 	})
 }
 
-// TestAsyncSameFamilyHandlesSerialize pins the episode gate: two handles of
-// the same machine family started back to back complete in order and
-// produce both results correctly.
+// TestAsyncSameFamilyHandlesSerialize: two handles of the same kind on the
+// same team started back to back run one after the other, in start order,
+// and produce both results correctly.
 func TestAsyncSameFamilyHandlesSerialize(t *testing.T) {
 	w := newWorld(t, "12(3)")
 	n := w.NumImages()
@@ -160,8 +160,8 @@ func TestAsyncSameFamilyHandlesSerialize(t *testing.T) {
 		v := team.Initial(w, im)
 		a := []float64{1}
 		b := []float64{10}
-		h1 := StartAllreduce("nb-rd", v, a, coll.Sum)
-		h2 := StartAllreduce("nb-rd", v, b, coll.Sum)
+		h1 := StartAllreduce("rd", v, a, coll.Sum)
+		h2 := StartAllreduce("rd", v, b, coll.Sum)
 		im.Compute(30000)
 		h2.Wait() // waiting out of order must still drive h1 first
 		h1.Wait()
@@ -178,10 +178,10 @@ func TestAsyncSameFamilyHandlesSerialize(t *testing.T) {
 // the SAME non-leader root. The root's handoff has no downstream wait on
 // the root's critical path, so without the handoff credit (flag slots 5/6)
 // episode e+2's payload overwrites episode e's unconsumed same-parity
-// landing region at the root's node leader — the async machines initiate
-// instantly and hit this at depth 3; the blocking algorithm hits it the
-// same way when the caller loops. Both paths must deliver every episode's
-// payload intact.
+// landing region at the root's node leader. The split-phase case ("nb-2level")
+// starts every episode before waiting any, so the root runs ahead as far as
+// the credit lets it; the blocking case hits the same edge when the caller
+// loops. Both must deliver every episode's payload intact.
 func TestBcast2RepeatedRootHandoffFlowControl(t *testing.T) {
 	const episodes = 5
 	for _, alg := range []string{"2level", "nb-2level"} {
@@ -201,7 +201,7 @@ func TestBcast2RepeatedRootHandoffFlowControl(t *testing.T) {
 						if v.Rank == root {
 							bufs[ep][0] = float64(111 * (ep + 1))
 						}
-						handles[ep] = StartBroadcast("nb-2level", v, root, bufs[ep])
+						handles[ep] = StartBroadcast("2level", v, root, bufs[ep])
 					}
 					for ep := 0; ep < episodes; ep++ {
 						handles[ep].Wait()
@@ -232,7 +232,7 @@ func TestAsyncTestPolling(t *testing.T) {
 	w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
 		buf := []float64{1}
-		h := StartAllreduce("nb-2level", v, buf, coll.Sum)
+		h := StartAllreduce("2level", v, buf, coll.Sum)
 		for !h.Test() {
 			im.Sleep(500 * sim.Nanosecond)
 		}
@@ -245,39 +245,13 @@ func TestAsyncTestPolling(t *testing.T) {
 	})
 }
 
-// TestAsyncCounterpartMapping pins the blocking-name -> async-name mapping
-// the policy layer uses.
-func TestAsyncCounterpartMapping(t *testing.T) {
-	cases := []struct {
-		k    Kind
-		name string
-		want string
-		ok   bool
-	}{
-		{KindAllreduce, "rd", "nb-rd", true},
-		{KindAllreduce, "ring", "nb-rd", true},
-		{KindAllreduce, "2level", "nb-2level", true},
-		{KindAllreduce, "3level", "nb-2level", true},
-		{KindAllreduce, "nb-2level", "nb-2level", true},
-		{KindBroadcast, "binomial", "nb-binomial", true},
-		{KindBroadcast, "2level", "nb-2level", true},
-		{KindAllgather, "bruck", "nb-ring", true},
-		{KindAllgather, "2level", "nb-2level", true},
-		{KindBarrier, "tdlb", "", false},
-		{KindAllreduce, "some-custom", "", false},
-	}
-	for _, c := range cases {
-		got, ok := AsyncCounterpart(c.k, c.name)
-		if ok != c.ok || got != c.want {
-			t.Errorf("AsyncCounterpart(%s, %q) = (%q, %v), want (%q, %v)", c.k, c.name, got, ok, c.want, c.ok)
-		}
-	}
-}
-
-// TestPolicyAsyncFallsBackForCustomAlgorithms: a tuned custom algorithm has
-// no split-phase form, so the policy async path must run it blocking and
-// return a completed handle.
-func TestPolicyAsyncFallsBackForCustomAlgorithms(t *testing.T) {
+// TestPolicyAsyncRunsCustomAlgorithmsSplitPhase: a tuned custom algorithm
+// runs split-phase like a built-in — the handle is still pending after the
+// start while the body waits on its peers — and agrees bitwise with its
+// blocking run.
+func TestPolicyAsyncRunsCustomAlgorithmsSplitPhase(t *testing.T) {
+	// The registry sweeps that run after this test list the registration
+	// under this name too, so it stays stable.
 	RegisterAllreduce("test-async-fallback", func(v *team.View, buf []float64, op coll.Op[float64]) {
 		coll.AllreduceRD(v, buf, op, pgas.ViaConduit)
 	})
@@ -285,14 +259,17 @@ func TestPolicyAsyncFallsBackForCustomAlgorithms(t *testing.T) {
 	w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
 		p := Policy{Level: LevelAuto, Tuning: Tuning{Allreduce: "test-async-fallback"}}
-		buf := []float64{1}
-		h := PolicyAllreduceAsync(p, v, buf, coll.Sum)
-		if !h.Done() {
-			t.Error("fallback handle must be already complete")
+		blocking := []float64{float64(im.Rank() + 1)}
+		split := []float64{blocking[0]}
+		PolicyAllreduce(p, v, blocking, coll.Sum)
+		h := PolicyAllreduceAsync(p, v, split, coll.Sum)
+		if h.Done() {
+			t.Errorf("rank %d: custom split-phase allreduce completed at start", im.Rank())
 		}
-		h.Wait() // must be a no-op
-		if buf[0] != 8 {
-			t.Errorf("co_sum = %v, want 8", buf[0])
+		im.Compute(5000)
+		h.Wait()
+		if math.Float64bits(split[0]) != math.Float64bits(blocking[0]) || split[0] != 36 {
+			t.Errorf("rank %d: split-phase %v, blocking %v, want 36", im.Rank(), split[0], blocking[0])
 		}
 	})
 }
@@ -303,14 +280,71 @@ func TestStartUnknownAsyncAlgorithmPanics(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("StartAllreduce with a blocking-only name did not panic")
+			t.Fatal("StartAllreduce with an unregistered name did not panic")
 		}
-		if s := fmt.Sprint(r); s == "" {
-			t.Fatal("empty panic message")
+		if s := fmt.Sprint(r); !strings.Contains(s, "no-such-algorithm") {
+			t.Fatalf("panic %q does not name the algorithm", s)
 		}
 	}()
 	w.Run(func(im *pgas.Image) {
 		v := team.Initial(w, im)
-		StartAllreduce("ring", v, []float64{1}, coll.Sum)
+		StartAllreduce("no-such-algorithm", v, []float64{1}, coll.Sum)
 	})
+}
+
+// TestBlockingSameKindWhileSplitPhasePending: a blocking collective of the
+// same kind on the same team, called while a split-phase one is pending,
+// first completes the pending one (the two share per-image episode state),
+// on both backends.
+func TestBlockingSameKindWhileSplitPhasePending(t *testing.T) {
+	for _, alg := range []string{"rd", "2level"} {
+		for _, backend := range confBackends {
+			alg := alg
+			sc := confScenario{nodes: 3, perNode: 4, place: topology.PlaceBlock, backend: backend}
+			t.Run(alg+"/"+backend, func(t *testing.T) {
+				w := sc.world(t)
+				n := float64(w.NumImages())
+				w.Run(func(im *pgas.Image) {
+					v := team.Initial(w, im)
+					for ep := 0; ep < 3; ep++ {
+						a := []float64{1}
+						b := []float64{10}
+						h := StartAllreduce(alg, v, a, coll.Sum)
+						RunAllreduce(alg, v, b, coll.Sum)
+						if !h.Done() {
+							t.Errorf("rank %d: blocking allreduce ran ahead of the pending one", im.Rank())
+						}
+						h.Wait()
+						if a[0] != n || b[0] != 10*n {
+							t.Errorf("rank %d ep%d: split %v blocking %v, want %v and %v", im.Rank(), ep, a[0], b[0], n, 10*n)
+						}
+					}
+				})
+			})
+		}
+	}
+}
+
+// TestSplitPhaseLinearAllreduceWaitsOnPeerRow: the linear allreduce's
+// members wait on the root's shared-memory counter, a flag in another
+// image's row; run split-phase, those suspended waits must still be woken.
+func TestSplitPhaseLinearAllreduceWaitsOnPeerRow(t *testing.T) {
+	for _, spec := range crossShapes {
+		t.Run(spec, func(t *testing.T) {
+			w := newWorld(t, spec)
+			n := w.NumImages()
+			w.Run(func(im *pgas.Image) {
+				v := team.Initial(w, im)
+				for ep := 0; ep < 3; ep++ {
+					buf := []float64{float64(im.Rank() + ep)}
+					h := StartAllreduce("linear", v, buf, coll.Sum)
+					im.Compute(5000)
+					h.Wait()
+					if want := float64(n*(n-1)/2 + n*ep); buf[0] != want {
+						t.Errorf("rank %d ep%d: %v, want %v", im.Rank(), ep, buf[0], want)
+					}
+				}
+			})
+		})
+	}
 }

@@ -2,7 +2,8 @@ package core
 
 // Cross-backend conformance (the -backend=sim|native cross-check): the
 // default algorithm of every collective kind — what the auto policy
-// dispatches to when a caf program just calls im.CoSum — runs on the same
+// dispatches to when a caf program just calls im.CoSum, blocking and, for
+// the split-phase kinds, as Start, Compute, Wait — runs on the same
 // shape and seed on both the discrete-event sim backend and the native
 // goroutine backend, and every image's result must match the serial
 // reference bitwise on both. Inputs are small integers, so every float64
@@ -101,23 +102,28 @@ func TestConformanceCrossBackend(t *testing.T) {
 			algs := defaultAlgs(t, base)
 			for _, k := range Kinds() {
 				k := k
-				name := algs[k]
-				for _, backend := range confBackends {
-					backend := backend
-					sc := base
-					sc.backend = backend
-					t.Run(fmt.Sprintf("%s/%s/%s", k, name, backend), func(t *testing.T) {
-						switch {
-						case k == KindBarrier:
-							checkBarrierOn(t, sc, name)
-						case k == KindScan:
-							for _, exclusive := range []bool{false, true} {
-								runConformanceData(t, sc, k, name, exclusive)
+				labels := []string{algs[k]}
+				if splitPhaseKind(k) {
+					labels = append(labels, splitPrefix+algs[k])
+				}
+				for _, name := range labels {
+					for _, backend := range confBackends {
+						name, backend := name, backend
+						sc := base
+						sc.backend = backend
+						t.Run(fmt.Sprintf("%s/%s/%s", k, name, backend), func(t *testing.T) {
+							switch {
+							case k == KindBarrier:
+								checkBarrierOn(t, sc, name)
+							case k == KindScan:
+								for _, exclusive := range []bool{false, true} {
+									runConformanceData(t, sc, k, name, exclusive)
+								}
+							default:
+								runConformanceData(t, sc, k, name, false)
 							}
-						default:
-							runConformanceData(t, sc, k, name, false)
-						}
-					})
+						})
+					}
 				}
 			}
 		})

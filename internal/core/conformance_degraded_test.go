@@ -2,9 +2,10 @@ package core
 
 // Degraded-mode conformance: after a pre-episode image failure, the
 // survivors shrink the team and run the full collective sweep there. Every
-// registered algorithm of every kind must produce bitwise-identical results
-// to the serial reference computed over the survivor ranks — recovery is
-// only worth anything if the shrunken team is a first-class team.
+// registered algorithm of every kind, blocking and split-phase, must produce
+// bitwise-identical results to the serial reference computed over the
+// survivor ranks — recovery is only worth anything if the shrunken team is
+// a first-class team.
 //
 // One fixed scenario (3 nodes x 2 images, victim on the middle node) bounds
 // the cost; the shapes themselves are swept fault-free by
@@ -61,7 +62,7 @@ func runDegraded(t *testing.T, k Kind, name string, exclusive bool) {
 
 func TestConformanceDegradedSurvivors(t *testing.T) {
 	for _, k := range Kinds() {
-		for _, name := range Algorithms(k) {
+		for _, name := range confLabels(k) {
 			k, name := k, name
 			t.Run(fmt.Sprintf("%s/%s", k, name), func(t *testing.T) {
 				if k == KindScan {

@@ -96,7 +96,7 @@ func TestConformanceOnSchedulerPlacements(t *testing.T) {
 		sc := sc
 		t.Run(sc.String(), func(t *testing.T) {
 			for _, k := range Kinds() {
-				for _, name := range Algorithms(k) {
+				for _, name := range confLabels(k) {
 					k, name := k, name
 					t.Run(fmt.Sprintf("%s/%s", k, name), func(t *testing.T) {
 						switch {

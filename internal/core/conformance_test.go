@@ -3,12 +3,16 @@ package core
 // Randomized cross-algorithm conformance harness: seeded random team
 // shapes (node count, images per node, block or cyclic placement) and
 // payload sizes are swept across *every* registered algorithm of *every*
-// collective kind — including the hierarchy-aware 2level/3level forms and
-// the split-phase nb-* machines, which Run* dispatches as initiate+wait —
-// and each result is compared bitwise against a serial reference computed
-// directly from the input function. Inputs are small integers, so float64
-// reductions are exact in any association order and bitwise comparison is
-// meaningful.
+// collective kind — including the hierarchy-aware 2level/3level forms and a
+// custom registration — and each result is compared bitwise against a
+// serial reference computed directly from the input function. Inputs are
+// small integers, so float64 reductions are exact in any association order
+// and bitwise comparison is meaningful.
+//
+// Split-phase is one more input: every allreduce, broadcast and allgather
+// algorithm also runs as Start, Compute, Wait (the subtest labelled
+// "nb-<alg>"), which drives the same blocking code as a coroutine on the
+// image's progress engine, and must agree bitwise too.
 //
 // The sweep budget is CAF_CONFORMANCE_ROUNDS scenarios (default 4, 2 under
 // -short); CAF_CONFORMANCE_SEED pins the scenario stream for reproduction.
@@ -19,6 +23,7 @@ import (
 	"math/rand"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"cafteams/internal/coll"
@@ -136,7 +141,85 @@ func confRoot(seed int64, ep, n int) int {
 	return r
 }
 
-// runConformanceData runs confEpisodes episodes of one (kind, algorithm)
+// splitPrefix labels the split-phase case of an algorithm in conformance
+// subtests: "nb-rd" is the registry algorithm "rd" run as Start, Compute,
+// Wait.
+const splitPrefix = "nb-"
+
+// confOverlapFlops is the local work a split-phase case overlaps with its
+// in-flight collective.
+const confOverlapFlops = 5000
+
+// confCustom is the custom registration every sweep includes: a registered
+// algorithm runs split-phase like a built-in. The allreduce computes inside
+// its body, where the progress polls of Compute must do nothing.
+const confCustom = "conf-custom"
+
+func init() {
+	RegisterAllreduce(confCustom, func(v *team.View, buf []float64, op coll.Op[float64]) {
+		v.Img.Compute(confOverlapFlops)
+		coll.AllreduceTree(v, buf, op, pgas.ViaConduit)
+	})
+	RegisterBroadcast(confCustom, func(v *team.View, root int, buf []float64) {
+		coll.BcastLinear(v, root, buf, pgas.ViaConduit)
+	})
+	RegisterAllgather(confCustom, func(v *team.View, mine, out []float64) {
+		coll.AllgatherBruck(v, mine, out, pgas.ViaConduit)
+	})
+}
+
+// splitPhaseKind reports whether kind k has a split-phase API.
+func splitPhaseKind(k Kind) bool {
+	return k == KindAllreduce || k == KindBroadcast || k == KindAllgather
+}
+
+// confLabels returns the conformance cases of kind k: every registered
+// algorithm blocking, then, for the split-phase kinds, every one again
+// split-phase.
+func confLabels(k Kind) []string {
+	labels := Algorithms(k)
+	if splitPhaseKind(k) {
+		for _, name := range Algorithms(k) {
+			labels = append(labels, splitPrefix+name)
+		}
+	}
+	return labels
+}
+
+// confFinish completes a split-phase case: overlap local work, then wait.
+func confFinish(v *team.View, h *Handle) {
+	v.Img.Compute(confOverlapFlops)
+	h.Wait()
+}
+
+// confAllreduce runs the allreduce case label on buf.
+func confAllreduce(label string, v *team.View, buf []float64) {
+	if name, split := strings.CutPrefix(label, splitPrefix); split {
+		confFinish(v, StartAllreduce(name, v, buf, coll.Sum))
+		return
+	}
+	RunAllreduce(label, v, buf, coll.Sum)
+}
+
+// confBroadcast runs the broadcast case label from team rank root.
+func confBroadcast(label string, v *team.View, root int, buf []float64) {
+	if name, split := strings.CutPrefix(label, splitPrefix); split {
+		confFinish(v, StartBroadcast(name, v, root, buf))
+		return
+	}
+	RunBroadcast(label, v, root, buf)
+}
+
+// confAllgather runs the allgather case label of mine into out.
+func confAllgather(label string, v *team.View, mine, out []float64) {
+	if name, split := strings.CutPrefix(label, splitPrefix); split {
+		confFinish(v, StartAllgather(name, v, mine, out))
+		return
+	}
+	RunAllgather(label, v, mine, out)
+}
+
+// runConformanceData runs confEpisodes episodes of one (kind, case label)
 // pair on one scenario and verifies every image's result bitwise against
 // the serial reference.
 func runConformanceData(t *testing.T, sc confScenario, k Kind, name string, exclusive bool) {
@@ -151,7 +234,7 @@ func runConformanceData(t *testing.T, sc confScenario, k Kind, name string, excl
 // Sizing, ranks and serial references all come from the view, so the same
 // loop verifies a full initial team or a shrunken survivor team (the
 // degraded-mode sweep) — the reference is recomputed over exactly the
-// view's team-relative ranks.
+// view's team-relative ranks. name is a case label (see confLabels).
 func runConfEpisodes(t *testing.T, sc confScenario, k Kind, name string, exclusive bool, v *team.View) {
 	im := v.Img
 	n := v.T.Size()
@@ -166,7 +249,7 @@ func runConfEpisodes(t *testing.T, sc confScenario, k Kind, name string, exclusi
 		switch k {
 		case KindAllreduce:
 			buf := append([]float64(nil), mine...)
-			RunAllreduce(name, v, buf, coll.Sum)
+			confAllreduce(name, v, buf)
 			if !confCheck(t, label, buf, confSum(sc.seed, 0, n, ep, elems)) {
 				return
 			}
@@ -178,13 +261,13 @@ func runConfEpisodes(t *testing.T, sc confScenario, k Kind, name string, exclusi
 			}
 		case KindBroadcast:
 			buf := append([]float64(nil), mine...)
-			RunBroadcast(name, v, root, buf)
+			confBroadcast(name, v, root, buf)
 			if !confCheck(t, label, buf, confInput(sc.seed, 0, root, ep, elems)) {
 				return
 			}
 		case KindAllgather:
 			out := make([]float64, n*elems)
-			RunAllgather(name, v, mine, out)
+			confAllgather(name, v, mine, out)
 			for r := 0; r < n; r++ {
 				if !confCheck(t, label, out[r*elems:(r+1)*elems], confInput(sc.seed, 0, r, ep, elems)) {
 					return
@@ -320,7 +403,7 @@ func TestConformanceRandomized(t *testing.T) {
 		}
 		t.Run(sc.String(), func(t *testing.T) {
 			for _, k := range Kinds() {
-				for _, name := range Algorithms(k) {
+				for _, name := range confLabels(k) {
 					k, name := k, name
 					t.Run(fmt.Sprintf("%s/%s", k, name), func(t *testing.T) {
 						switch {

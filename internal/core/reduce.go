@@ -57,10 +57,7 @@ func newRedState(v *team.View, alg string) *redState {
 }
 
 // maxNodeGroup returns the size of the team's largest intranode set — the
-// quantity every two-level inbox layout is sized from. The blocking scratch
-// helpers and the split-phase machine constructors share this scan so their
-// region layouts cannot drift apart (they must match: both address the same
-// per-slot parity regions).
+// quantity every two-level inbox layout is sized from.
 func maxNodeGroup(v *team.View) int {
 	maxGroup := 1
 	for gi := 0; gi < v.T.NumNodeGroups(); gi++ {
@@ -88,9 +85,7 @@ func redScratch[T any](v *team.View, alg string, elems int) (*pgas.Coarray[T], i
 
 func newRedScratch[T any](v *team.View, alg string, c, regions int) *pgas.Coarray[T] {
 	name := fmt.Sprintf("core:%s:team%d:cap%d", alg, v.T.ID(), c)
-	members := make([]int, v.T.Size())
-	copy(members, v.T.Members())
-	return pgas.NewTeamCoarray[T](v.Img.World(), name, c*2*regions, members)
+	return pgas.NewTeamCoarray[T](v.Img.World(), name, c*2*regions, v.T.Members())
 }
 
 // AllreduceTwoLevel is the memory-hierarchy-aware all-to-all reduction

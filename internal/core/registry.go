@@ -115,16 +115,15 @@ const AlgAuto = "auto"
 // Built-in generic algorithms cannot be stored as values for every possible
 // element type, so dispatch instantiates them on demand (see runAllreduce
 // and friends); this table is the source of truth for listing/validation.
-// The "nb-" names are the split-phase (non-blocking) machines of async.go:
-// dispatched through Run* they initiate and immediately wait (so sweeps and
-// Tuning treat them like any other algorithm); dispatched through Start*
-// they return a Handle for compute/communication overlap.
+// Every allreduce, broadcast and allgather algorithm here (and every custom
+// one) also runs split-phase through Start* (async.go), which runs the same
+// blocking code as a coroutine; there are no separate split-phase names.
 var builtins = map[Kind][]string{
 	KindBarrier:   {"dissemination", "linear", "tree", "tournament", "tdlb", "tdll", "tdlb3"},
-	KindAllreduce: {"rd", "linear", "tree", "ring", "2level", "3level", "nb-rd", "nb-2level"},
+	KindAllreduce: {"rd", "linear", "tree", "ring", "2level", "3level"},
 	KindReduceTo:  {"binomial", "linear", "2level"},
-	KindBroadcast: {"binomial", "linear", "scatter-allgather", "2level", "nb-binomial", "nb-2level"},
-	KindAllgather: {"ring", "bruck", "2level", "nb-ring", "nb-2level"},
+	KindBroadcast: {"binomial", "linear", "scatter-allgather", "2level"},
+	KindAllgather: {"ring", "bruck", "2level"},
 	KindScatter:   {"linear", "binomial", "2level"},
 	KindGather:    {"linear", "binomial", "2level"},
 	KindAlltoall:  {"pairwise", "bruck", "2level"},
@@ -314,8 +313,10 @@ func RunBarrier(name string, v *team.View) {
 	}
 }
 
-// RunAllreduce executes the named allreduce algorithm on buf.
+// RunAllreduce executes the named allreduce algorithm on buf, after this
+// image's pending split-phase allreduces on the team.
 func RunAllreduce[T any](name string, v *team.View, buf []T, op coll.Op[T]) {
+	v.Img.CompleteOps(keyOf(KindAllreduce, v))
 	switch name {
 	case "rd":
 		coll.AllreduceRD(v, buf, op, pgas.ViaConduit)
@@ -329,8 +330,6 @@ func RunAllreduce[T any](name string, v *team.View, buf []T, op coll.Op[T]) {
 		AllreduceTwoLevel(v, buf, op)
 	case "3level":
 		AllreduceThreeLevel(v, buf, op)
-	case "nb-rd", "nb-2level":
-		StartAllreduce(name, v, buf, op).Wait()
 	default:
 		if fn, ok := lookupCustom(KindAllreduce, typedKey[T](name)); ok {
 			fn.(AllreduceFn[T])(v, buf, op)
@@ -359,8 +358,10 @@ func RunReduceTo[T any](name string, v *team.View, root int, buf []T, op coll.Op
 	}
 }
 
-// RunBroadcast executes the named broadcast algorithm from team rank root.
+// RunBroadcast executes the named broadcast algorithm from team rank root,
+// after this image's pending split-phase broadcasts on the team.
 func RunBroadcast[T any](name string, v *team.View, root int, buf []T) {
+	v.Img.CompleteOps(keyOf(KindBroadcast, v))
 	switch name {
 	case "binomial":
 		coll.BcastBinomial(v, root, buf, pgas.ViaConduit)
@@ -370,8 +371,6 @@ func RunBroadcast[T any](name string, v *team.View, root int, buf []T) {
 		coll.BcastScatterAllgather(v, root, buf, pgas.ViaConduit)
 	case "2level":
 		BcastTwoLevel(v, root, buf)
-	case "nb-binomial", "nb-2level":
-		StartBroadcast(name, v, root, buf).Wait()
 	default:
 		if fn, ok := lookupCustom(KindBroadcast, typedKey[T](name)); ok {
 			fn.(BroadcastFn[T])(v, root, buf)
@@ -381,8 +380,10 @@ func RunBroadcast[T any](name string, v *team.View, root int, buf []T) {
 	}
 }
 
-// RunAllgather executes the named allgather algorithm.
+// RunAllgather executes the named allgather algorithm, after this image's
+// pending split-phase allgathers on the team.
 func RunAllgather[T any](name string, v *team.View, mine, out []T) {
+	v.Img.CompleteOps(keyOf(KindAllgather, v))
 	switch name {
 	case "ring":
 		coll.AllgatherRing(v, mine, out, pgas.ViaConduit)
@@ -390,8 +391,6 @@ func RunAllgather[T any](name string, v *team.View, mine, out []T) {
 		coll.AllgatherBruck(v, mine, out, pgas.ViaConduit)
 	case "2level":
 		AllgatherTwoLevel(v, mine, out)
-	case "nb-ring", "nb-2level":
-		StartAllgather(name, v, mine, out).Wait()
 	default:
 		if fn, ok := lookupCustom(KindAllgather, typedKey[T](name)); ok {
 			fn.(AllgatherFn[T])(v, mine, out)

@@ -19,7 +19,8 @@ var crossShapes = []string{"8(1)", "16(4)", "9(3)"}
 
 const crossEpisodes = 3
 
-// runDataCollective runs `episodes` episodes of one named algorithm for one
+// runDataCollective runs `episodes` episodes of one algorithm case (a
+// registry name, or a split-phase label; see confLabels) for one
 // data-bearing kind on every image of a fresh world and returns the per
 // (episode, rank) output vectors. Inputs are deterministic small integers,
 // so every correct algorithm must produce bit-identical float64 results
@@ -46,7 +47,7 @@ func runDataCollective(t *testing.T, spec string, k Kind, name string, elems int
 			}
 			switch k {
 			case KindAllreduce:
-				RunAllreduce(name, v, buf, coll.Sum)
+				confAllreduce(name, v, buf)
 				out = buf
 			case KindReduceTo:
 				RunReduceTo(name, v, root, buf, coll.Sum)
@@ -63,11 +64,11 @@ func runDataCollective(t *testing.T, spec string, k Kind, name string, elems int
 						buf[i] = float64((root*1000 + i + ep) % 512)
 					}
 				}
-				RunBroadcast(name, v, root, buf)
+				confBroadcast(name, v, root, buf)
 				out = buf
 			case KindAllgather:
 				out = make([]float64, n*elems)
-				RunAllgather(name, v, buf, out)
+				confAllgather(name, v, buf, out)
 			default:
 				t.Fatalf("kind %v is not data-bearing", k)
 			}
@@ -86,14 +87,14 @@ var flatBaseline = map[Kind]string{
 }
 
 // TestRegistryCrossValidation runs every registered algorithm of every
-// data-bearing kind on several team shapes and asserts bit-identical
-// results against the flat baseline.
+// data-bearing kind, blocking and split-phase, on several team shapes and
+// asserts bit-identical results against the flat baseline.
 func TestRegistryCrossValidation(t *testing.T) {
 	for _, spec := range crossShapes {
 		for _, k := range []Kind{KindAllreduce, KindReduceTo, KindBroadcast, KindAllgather} {
 			for _, elems := range []int{1, 5, 67} {
 				base := runDataCollective(t, spec, k, flatBaseline[k], elems)
-				for _, name := range Algorithms(k) {
+				for _, name := range confLabels(k) {
 					if name == flatBaseline[k] {
 						continue
 					}

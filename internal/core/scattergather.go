@@ -65,9 +65,7 @@ func sizeClass(elems int) int {
 func hierScratch[T any](v *team.View, alg string, elems, regions int) (*pgas.Coarray[T], int) {
 	cap_ := sizeClass(elems)
 	name := fmt.Sprintf("core:%s:%s:team%d:cap%d", alg, pgas.TypeName[T](), v.T.ID(), cap_)
-	members := make([]int, v.T.Size())
-	copy(members, v.T.Members())
-	co := pgas.NewTeamCoarray[T](v.Img.World(), name, cap_*2*regions, members)
+	co := pgas.NewTeamCoarray[T](v.Img.World(), name, cap_*2*regions, v.T.Members())
 	return co, cap_
 }
 

@@ -131,9 +131,7 @@ func red3Scratch[T any](v *team.View, alg string, elems int) (co *pgas.Coarray[T
 	regions = maxGroup + maxLead + 1
 	c := sizeClass(elems)
 	name := fmt.Sprintf("core:%s:team%d:cap%d", alg, v.T.ID(), c)
-	members := make([]int, v.T.Size())
-	copy(members, v.T.Members())
-	co = pgas.NewTeamCoarray[T](v.Img.World(), name, c*2*regions, members)
+	co = pgas.NewTeamCoarray[T](v.Img.World(), name, c*2*regions, v.T.Members())
 	return co, c, regions, leaderBase
 }
 

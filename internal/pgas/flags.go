@@ -142,10 +142,15 @@ func (im *Image) SetLocal(f *Flags, idx int, val int64) {
 // WaitFlagGE blocks this image until flag idx on image owner is >= min.
 // Waiting on another image's flags is only meaningful on the same node
 // (shared memory); the runtime enforces that, matching what real hardware
-// permits.
+// permits. Inside a split-phase operation body the wait suspends the body
+// instead, and the image's progress engine resumes it once the flag holds.
 func (im *Image) WaitFlagGE(f *Flags, owner, idx int, min int64) {
 	if owner != im.rank && !im.SameNode(owner) {
 		panic(fmt.Sprintf("pgas: image %d waits on flags of remote image %d", im.rank, owner))
+	}
+	if h := im.curOp; h != nil {
+		h.suspend(flagWait{f: f, owner: owner, idx: idx, min: min})
+		return
 	}
 	im.w.tr.WaitFlagGE(im, f, owner, idx, min)
 }

@@ -23,8 +23,12 @@ type Image struct {
 	syncSent []int64
 
 	// pendingOps are the in-flight split-phase operations driven by this
-	// image's progress engine (see progress.go).
+	// image's progress engine, in start order; curOp is the one whose body
+	// is running right now, nil outside any operation body; idle are the
+	// parked coroutines that run the next bodies (see progress.go).
 	pendingOps []*AsyncOp
+	curOp      *AsyncOp
+	idle       []*coro
 }
 
 // Rank returns the image's 0-based global rank. (Coarray Fortran numbers

@@ -50,6 +50,9 @@ type nativeWorld struct {
 type nativeCell struct {
 	mu   sync.Mutex
 	cond *sync.Cond
+	// watchers are the ranks whose progress engine waits on a flag in this
+	// rank's rows (see WaitAsync); guarded by mu.
+	watchers []int
 }
 
 func nativeW(w *World) *nativeWorld { return w.ts.(*nativeWorld) }
@@ -263,7 +266,17 @@ func (nw *nativeWorld) wake(rank int) {
 	c := nw.cells[rank]
 	c.mu.Lock()
 	c.cond.Broadcast()
+	var watchers []int
+	if len(c.watchers) > 0 {
+		watchers = append(watchers, c.watchers...)
+	}
 	c.mu.Unlock()
+	for _, r := range watchers {
+		w := nw.cells[r]
+		w.mu.Lock()
+		w.cond.Broadcast()
+		w.mu.Unlock()
+	}
 }
 
 func (nativeTransport) Put(im *Image, target, nbytes int, via Via, commit func()) {
@@ -317,7 +330,26 @@ func (nativeTransport) WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64
 		func() bool { return f.load(owner, idx) >= min })
 }
 
-func (nativeTransport) WaitAsync(im *Image, ready func() bool) {
+// WaitAsync registers im as a watcher of rows before waiting on its own
+// cell. A mutation on a watched row that lands after registration wakes im
+// through wake's watcher pass; one that landed before it is seen by the
+// first ready() check, so no arrival can be missed.
+func (nativeTransport) WaitAsync(im *Image, rows []int, ready func() bool) {
+	nw := nativeW(im.w)
+	for _, r := range rows {
+		c := nw.cells[r]
+		c.mu.Lock()
+		c.watchers = append(c.watchers, im.rank)
+		c.mu.Unlock()
+	}
+	defer func() {
+		for _, r := range rows {
+			c := nw.cells[r]
+			c.mu.Lock()
+			c.watchers = removeInt(c.watchers, im.rank)
+			c.mu.Unlock()
+		}
+	}()
 	nativeWait(im, im.rank, "async progress", ready)
 }
 

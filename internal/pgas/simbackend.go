@@ -37,6 +37,10 @@ type simWorld struct {
 	// (any flags array): it serves both WaitFlagGE waiters and the rank's
 	// split-phase progress engine.
 	rowCond []sim.Cond
+	// watch[r] lists the ranks whose progress engine waits on a flag in
+	// rank r's rows (a suspended body's shared-memory wait on a peer's
+	// counter); a mutation on r's rows wakes their rowCond too.
+	watch [][]int
 
 	// freeDel is the delivery-record free list (LIFO). Records cycle
 	// strictly within the scheduler goroutine, so a plain slice is both
@@ -158,6 +162,7 @@ func NewWorldOn(hw *cluster.Cluster, topo *topology.Topology, stats *trace.Stats
 		progress: hw.ProgressEngines(),
 		membus:   hw.Membuses(),
 		rowCond:  make([]sim.Cond, topo.NumImages()),
+		watch:    make([][]int, topo.NumImages()),
 	}
 	for _, im := range w.images {
 		si := &simImage{im: im}
@@ -335,6 +340,9 @@ func (simTransport) MemWork(im *Image, nbytes int) {
 // every mutation of rank's flag rows.
 func (sw *simWorld) wake(rank int) {
 	sw.rowCond[rank].Wake(sw.env)
+	for _, r := range sw.watch[rank] {
+		sw.rowCond[r].Wake(sw.env)
+	}
 }
 
 // simWait blocks im on c until the wait record configured on its simImage
@@ -731,8 +739,16 @@ func (simTransport) WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64) {
 	simWait(im, &sw.rowCond[owner], "flag wait")
 }
 
-func (simTransport) WaitAsync(im *Image, ready func() bool) {
+func (simTransport) WaitAsync(im *Image, rows []int, ready func() bool) {
 	sw := simW(im.w)
+	for _, r := range rows {
+		sw.watch[r] = append(sw.watch[r], im.rank)
+	}
+	defer func() {
+		for _, r := range rows {
+			sw.watch[r] = removeInt(sw.watch[r], im.rank)
+		}
+	}()
 	simWaitPred(im, &sw.rowCond[im.rank], "async progress", ready)
 }
 

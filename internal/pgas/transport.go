@@ -90,8 +90,9 @@ type Transport interface {
 	// WaitFlagGE blocks im until flag idx on image owner reaches min.
 	WaitFlagGE(im *Image, f *Flags, owner, idx int, min int64)
 	// WaitAsync blocks im until ready() reports the progress engine can
-	// advance; ready is re-evaluated whenever a flag lands on im's rows.
-	WaitAsync(im *Image, ready func() bool)
+	// advance; ready is re-evaluated whenever a flag lands on im's rows or
+	// on the rows of the (same-node) images listed in rows.
+	WaitAsync(im *Image, rows []int, ready func() bool)
 	// WakeRank wakes rank's flag waiters and progress engine after a local
 	// (un-routed) flag mutation such as SetLocal.
 	WakeRank(w *World, rank int)

@@ -175,7 +175,11 @@ func (w *World) SetLabel(label string) {
 func (w *World) Launch(body func(img *Image)) {
 	fc := w.faults
 	w.tr.Launch(w, func(im *Image) {
-		defer func() { fc.imageDone(im, recover()) }()
+		defer func() {
+			r := recover()
+			im.stopOps()
+			fc.imageDone(im, r)
+		}()
 		body(im)
 	})
 }
