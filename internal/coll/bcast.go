@@ -86,7 +86,7 @@ func floorPow2OfNonZero(r int) int {
 // whole team (the baseline for co_broadcast). root is a team rank.
 func BcastBinomial[T any](v *team.View, root int, buf []T, via pgas.Via) {
 	v.Img.World().Stats().Count(trace.OpBroadcast)
-	SubgroupBcastBinomial(v, teamRanks(v), v.Rank, root, buf, "bc.flat."+via.String(), via)
+	SubgroupBcastBinomial(v, v.T.Ranks(), v.Rank, root, buf, "bc.flat."+via.String(), via)
 }
 
 // BcastLinear has the root put the payload to every member directly —
@@ -148,7 +148,7 @@ func BcastScatterAllgather[T any](v *team.View, root int, buf []T, via pgas.Via)
 		return
 	}
 	if n < sz {
-		SubgroupBcastBinomial(v, teamRanks(v), v.Rank, root, buf, "bc.sagfallback."+via.String(), via)
+		SubgroupBcastBinomial(v, v.T.Ranks(), v.Rank, root, buf, "bc.sagfallback."+via.String(), via)
 		return
 	}
 	chunk := (n + sz - 1) / sz

@@ -126,21 +126,34 @@ func newState(v *team.View, alg string, slots int) *state {
 	w := v.Img.World()
 	key := fmt.Sprintf("coll:%s:team%d", alg, v.T.ID())
 	return pgas.LookupOrCreate(w, key, func() interface{} {
+		sz := v.T.Size()
+		cells := make(Counters, (6+slots)*sz)
 		s := &state{
-			flags: pgas.NewFlags(w, key, slots),
-			ep:    make([]int64, v.T.Size()),
-			aux:   make([]int64, v.T.Size()),
+			flags:      pgas.NewFlags(w, key, slots),
+			ep:         cells.Take(sz),
+			aux:        cells.Take(sz),
+			ackExpect:  [2][]int64{cells.Take(sz), cells.Take(sz)},
+			payExpect:  [2][]int64{cells.Take(sz), cells.Take(sz)},
+			slotExpect: make([][]int64, sz),
 		}
-		s.ackExpect[0] = make([]int64, v.T.Size())
-		s.ackExpect[1] = make([]int64, v.T.Size())
-		s.payExpect[0] = make([]int64, v.T.Size())
-		s.payExpect[1] = make([]int64, v.T.Size())
-		s.slotExpect = make([][]int64, v.T.Size())
 		for i := range s.slotExpect {
-			s.slotExpect[i] = make([]int64, slots)
+			s.slotExpect[i] = cells.Take(slots)
 		}
 		return s
 	}).(*state)
+}
+
+// Counters is a backing array that per-member counter tables are carved
+// from, so a state object costs one allocation for all of its rows rather
+// than one per row.
+type Counters []int64
+
+// Take returns the next n counters, capacity-limited so no row can grow
+// into its neighbour.
+func (c *Counters) Take(n int) []int64 {
+	row := (*c)[:n:n]
+	*c = (*c)[n:]
+	return row
 }
 
 // next increments and returns the caller's episode counter.

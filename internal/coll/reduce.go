@@ -72,7 +72,7 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 // friends.
 func AllreduceRD[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	v.Img.World().Stats().Count(trace.OpReduce)
-	SubgroupAllreduceRD(v, teamRanks(v), v.Rank, buf, op, "red.flat."+via.String(), via)
+	SubgroupAllreduceRD(v, v.T.Ranks(), v.Rank, buf, op, "red.flat."+via.String(), via)
 }
 
 // AllreduceLinear gathers every vector at the team's first member, combines
@@ -180,7 +180,7 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	}
 	if n < sz {
 		// Tiny vectors degenerate; fall back to recursive doubling.
-		SubgroupAllreduceRD(v, teamRanks(v), v.Rank, buf, op, "red.ringfallback."+via.String(), via)
+		SubgroupAllreduceRD(v, v.T.Ranks(), v.Rank, buf, op, "red.ringfallback."+via.String(), via)
 		return
 	}
 	steps := 2 * (sz - 1)
@@ -231,13 +231,4 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 		copy(buf[rlo:rhi], pgas.Local(co, me)[reg:reg+(rhi-rlo)])
 		me.MemWork(es * (rhi - rlo))
 	}
-}
-
-// teamRanks returns [0..size) for a team view.
-func teamRanks(v *team.View) []int {
-	out := make([]int, v.T.Size())
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

@@ -72,7 +72,7 @@ func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, 
 // root is a team rank.
 func ReduceToRoot[T any](v *team.View, root int, buf []T, op Op[T], via pgas.Via) {
 	v.Img.World().Stats().Count(trace.OpReduce)
-	SubgroupReduceToRoot(v, teamRanks(v), v.Rank, root, buf, op, "redto.flat."+op.Name+"."+via.String(), via)
+	SubgroupReduceToRoot(v, v.T.Ranks(), v.Rank, root, buf, op, "redto.flat."+op.Name+"."+via.String(), via)
 }
 
 // ReduceToRootLinear gathers every member's vector at the root directly and

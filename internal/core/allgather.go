@@ -32,33 +32,18 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 	alg := "ag2." + pgas.TypeName[T]()
 	nLeaders := len(t.Leaders())
 	steps := nLeaders - 1
-	w := v.Img.World()
-	key := fmt.Sprintf("core:%s:team%d", alg, t.ID())
-	st := pgas.LookupOrCreate(w, key, func() interface{} {
-		s := &redState{
-			flags:   pgas.NewFlags(w, key, 2+steps),
-			ep:      make([]int64, sz),
-			expect0: make([]int64, sz),
-			expect1: make([]int64, sz),
-		}
-		s.ackExpect[0] = make([]int64, sz)
-		s.ackExpect[1] = make([]int64, sz)
-		return s
-	}).(*redState)
+	st := getTDLBState(v, alg, steps)
 	st.ep[v.Rank]++
 	ep := st.ep[v.Rank]
 	parity := int(ep % 2)
 
 	// Scratch: the full gathered vector per parity (landing area for the
-	// fan-out and the leaders' ring blocks, addressed by team rank), plus
-	// per-ring-step regions sized to the largest node block.
-	maxGroup := maxNodeGroup(v)
-	cap_ := sizeClass(n)
+	// fan-out and the leaders' ring blocks, addressed by team rank), and,
+	// at leaders only, per-ring-step regions sized to the largest node
+	// block.
+	vec, cap_ := hierScratch[T](v, alg, "core:vector", n, sz)
 	full := cap_ * sz
-	stepRegion := cap_ * maxGroup
-	name := fmt.Sprintf("core:%s:team%d:cap%d", alg, t.ID(), cap_)
-	co := pgas.NewTeamCoarray[T](w, name, 2*(full+steps*stepRegion), t.Members())
-	base := parity * (full + steps*stepRegion)
+	base := parity * full
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
 	gi := t.GroupOf(v.Rank)
@@ -66,9 +51,9 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 
 	if v.Rank != leader {
 		// Contribute to the leader's assembled area at my rank's slot.
-		pgas.PutThenNotify(me, co, t.GlobalRank(leader), base+v.Rank*cap_, mine, st.flags, 0, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, vec, t.GlobalRank(leader), base+v.Rank*cap_, mine, st.flags, 0, 1, pgas.ViaShm)
 		me.WaitFlagGE(st.flags, me.Rank(), 1, ep)
-		local := pgas.Local(co, me)
+		local := pgas.Local(vec, me)
 		for r := 0; r < sz; r++ {
 			copy(out[r*n:r*n+n], local[base+r*cap_:base+r*cap_+n])
 		}
@@ -76,7 +61,7 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 		return
 	}
 	// Leader: collect the node block.
-	local := pgas.Local(co, me)
+	local := pgas.Local(vec, me)
 	copy(local[base+v.Rank*cap_:base+v.Rank*cap_+n], mine)
 	if len(group) > 1 {
 		me.WaitFlagGE(st.flags, me.Rank(), 0, ep*int64(len(group)-1))
@@ -86,24 +71,27 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 	leaders := t.Leaders()
 	myPos := t.LeaderPos(v.Rank)
 	if steps > 0 {
+		stepRegion := cap_ * t.MaxNodeGroup()
+		ring, _ := hierScratch[T](v, alg, "core:ring", n, steps*t.MaxNodeGroup())
+		landing := pgas.Local(ring, me)
 		nextPos := (myPos + 1) % nLeaders
 		next := t.GlobalRank(leaders[nextPos])
 		for s := 0; s < steps; s++ {
 			sendPos := ((myPos-s)%nLeaders + nLeaders) % nLeaders
 			recvPos := ((myPos-s-1)%nLeaders + nLeaders) % nLeaders
 			sendGroup := t.NodeGroup(sendPos)
-			reg := base + full + s*stepRegion
+			reg := (parity*steps + s) * stepRegion
 			// Pack the block: contiguous per-member slices.
 			pack := make([]T, len(sendGroup)*n)
 			for i, r := range sendGroup {
 				copy(pack[i*n:], local[base+r*cap_:base+r*cap_+n])
 			}
 			me.MemWork(es * len(pack))
-			pgas.PutThenNotify(me, co, next, reg, pack, st.flags, 2+s, 1, pgas.ViaConduit)
+			pgas.PutThenNotify(me, ring, next, reg, pack, st.flags, 2+s, 1, pgas.ViaConduit)
 			me.WaitFlagGE(st.flags, me.Rank(), 2+s, ep)
 			recvGroup := t.NodeGroup(recvPos)
 			for i, r := range recvGroup {
-				copy(local[base+r*cap_:base+r*cap_+n], local[reg+i*n:reg+i*n+n])
+				copy(local[base+r*cap_:base+r*cap_+n], landing[reg+i*n:reg+i*n+n])
 			}
 			me.MemWork(es * len(recvGroup) * n)
 		}
@@ -113,7 +101,7 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 		if r == v.Rank {
 			continue
 		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(r), base, local[base:base+full], st.flags, 1, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, vec, t.GlobalRank(r), base, local[base:base+full], st.flags, 1, 1, pgas.ViaShm)
 	}
 	for r := 0; r < sz; r++ {
 		copy(out[r*n:r*n+n], local[base+r*cap_:base+r*cap_+n])

@@ -56,18 +56,19 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 	st.ep[v.Rank]++
 	ep := st.ep[v.Rank]
 	parity := int(ep % 2)
-	mg := maxNodeGroup(v)
+	mg := t.MaxNodeGroup()
 	leaders := t.Leaders()
 	ng := len(leaders)
-	// Per-parity layout (in cap-sized block units): the leader's inbox (one
-	// full send vector per group position), one node-pair pack landing area
-	// per source group, and the member's outbox (one full recv vector).
-	co, cap_ := hierScratch[T](v, alg, n, mg*sz+ng*mg*mg+sz)
-	perPar := (mg*sz + ng*mg*mg + sz) * cap_
-	base := parity * perPar
+	// Per parity (in cap-sized block units): the leader's inbox (one full
+	// send vector per group position) followed by one node-pair pack
+	// landing area per source group, and, in a coarray of its own, the
+	// member's outbox (one full recv vector).
+	lead, cap_ := hierScratch[T](v, alg, "core:inbox", n, mg*sz+ng*mg*mg)
+	outbox, _ := hierScratch[T](v, alg, "core:result", n, sz)
+	base := parity * (mg*sz + ng*mg*mg) * cap_
 	inboxAt := func(pos int) int { return base + pos*sz*cap_ }
 	landAt := func(gi int) int { return base + mg*sz*cap_ + gi*mg*mg*cap_ }
-	outboxOff := base + (mg*sz+ng*mg*mg)*cap_
+	outboxOff := parity * sz * cap_
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
 	gi := t.GroupOf(v.Rank)
@@ -83,10 +84,10 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 			me.WaitFlagGE(st.flags, me.Rank(), a2aInboxCredit+parity, sends-1)
 		}
 		pos := groupPos(group, v.Rank)
-		pgas.PutThenNotify(me, co, t.GlobalRank(leader), inboxAt(pos), send[:sz*n], st.flags, a2aInboxSlot+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, lead, t.GlobalRank(leader), inboxAt(pos), send[:sz*n], st.flags, a2aInboxSlot+parity, 1, pgas.ViaShm)
 		st.slotExpect[v.Rank][a2aOutboxSlot+parity]++
 		me.WaitFlagGE(st.flags, me.Rank(), a2aOutboxSlot+parity, st.slotExpect[v.Rank][a2aOutboxSlot+parity])
-		copy(recv, pgas.Local(co, me)[outboxOff:outboxOff+sz*n])
+		copy(recv, pgas.Local(outbox, me)[outboxOff:outboxOff+sz*n])
 		me.MemWork(es * sz * n)
 		me.NotifyAdd(st.flags, t.GlobalRank(leader), a2aOutboxAck+parity, 1, pgas.ViaShm)
 		return
@@ -97,7 +98,7 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 		st.slotExpect[v.Rank][a2aInboxSlot+parity] += int64(gsz - 1)
 		me.WaitFlagGE(st.flags, me.Rank(), a2aInboxSlot+parity, st.slotExpect[v.Rank][a2aInboxSlot+parity])
 	}
-	local := pgas.Local(co, me)
+	local := pgas.Local(lead, me)
 	// vec(i) is group position i's full send vector.
 	vec := func(i int) []T {
 		if group[i] == v.Rank {
@@ -127,7 +128,7 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 				}
 			}
 			me.MemWork(es * len(pack))
-			pgas.PutThenNotify(me, co, t.GlobalRank(lh), landAt(gi), pack, st.flags, a2aPackSlot+parity, 1, pgas.ViaAuto)
+			pgas.PutThenNotify(me, lead, t.GlobalRank(lh), landAt(gi), pack, st.flags, a2aPackSlot+parity, 1, pgas.ViaAuto)
 		}
 		st.slotExpect[v.Rank][a2aPackSlot+parity] += int64(ng - 1)
 		me.WaitFlagGE(st.flags, me.Rank(), a2aPackSlot+parity, st.slotExpect[v.Rank][a2aPackSlot+parity])
@@ -158,7 +159,7 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 			copy(recv, out)
 			continue
 		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(m), outboxOff, out, st.flags, a2aOutboxSlot+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, outbox, t.GlobalRank(m), outboxOff, out, st.flags, a2aOutboxSlot+parity, 1, pgas.ViaShm)
 		targets++
 	}
 	st.ackExpect[parity][v.Rank] += int64(targets)

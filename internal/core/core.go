@@ -41,10 +41,11 @@ import (
 	"cafteams/internal/trace"
 )
 
-// tdlbState holds the TDLB flag array for one team: slot 0 counts intranode
-// arrivals at the node leader (the "cocounter" of Algorithm 1), slot 1
-// carries the leader's release stamp, and slots 2.. are the dissemination
-// round flags used by the leaders.
+// tdlbState holds a flag array and per-member episode counters for one
+// team. In TDLB, slot 0 counts intranode arrivals at the node leader (the
+// "cocounter" of Algorithm 1), slot 1 carries the leader's release stamp,
+// and slots 2.. are the dissemination round flags used by the leaders;
+// AllgatherTwoLevel uses the same shape with ring steps in slots 2...
 type tdlbState struct {
 	flags *pgas.Flags
 	ep    []int64

@@ -151,11 +151,8 @@ func (p Policy) effective(v *team.View) Level {
 	if p.Level != LevelAuto {
 		return p.Level
 	}
-	t := v.T
-	for gi := 0; gi < t.NumNodeGroups(); gi++ {
-		if len(t.NodeGroup(gi)) > 1 {
-			return LevelTwo
-		}
+	if v.T.MaxNodeGroup() > 1 {
+		return LevelTwo
 	}
 	return LevelFlat
 }

@@ -9,9 +9,8 @@ import (
 	"cafteams/internal/trace"
 )
 
-// redState carries the two-level reduction plumbing for one (team, op)
-// pair: an inbox on every image (leaders use it to collect their intranode
-// set's vectors; everyone uses region 0/1 for the result), and flags.
+// redState carries the two-level reduction flags and counters for one
+// (team, op) pair; its scratch comes from redScratch.
 // Flag layout: slot 0 counts intranode arrivals at the leader, slot 1
 // carries the leader's result release.
 type redState struct {
@@ -42,50 +41,27 @@ func newRedState(v *team.View, alg string) *redState {
 	w := v.Img.World()
 	key := fmt.Sprintf("core:%s:team%d", alg, v.T.ID())
 	return pgas.LookupOrCreate(w, key, func() interface{} {
-		s := &redState{
-			flags:   pgas.NewFlags(w, key, 7),
-			ep:      make([]int64, v.T.Size()),
-			expect0: make([]int64, v.T.Size()),
-			expect1: make([]int64, v.T.Size()),
+		sz := v.T.Size()
+		cells := make(coll.Counters, 7*sz)
+		return &redState{
+			flags:      pgas.NewFlags(w, key, 7),
+			ep:         cells.Take(sz),
+			expect0:    cells.Take(sz),
+			expect1:    cells.Take(sz),
+			ackExpect:  [2][]int64{cells.Take(sz), cells.Take(sz)},
+			sendExpect: [2][]int64{cells.Take(sz), cells.Take(sz)},
 		}
-		s.ackExpect[0] = make([]int64, v.T.Size())
-		s.ackExpect[1] = make([]int64, v.T.Size())
-		s.sendExpect[0] = make([]int64, v.T.Size())
-		s.sendExpect[1] = make([]int64, v.T.Size())
-		return s
 	}).(*redState)
 }
 
-// maxNodeGroup returns the size of the team's largest intranode set — the
-// quantity every two-level inbox layout is sized from.
-func maxNodeGroup(v *team.View) int {
-	maxGroup := 1
-	for gi := 0; gi < v.T.NumNodeGroups(); gi++ {
-		if g := len(v.T.NodeGroup(gi)); g > maxGroup {
-			maxGroup = g
-		}
-	}
-	return maxGroup
-}
-
-// redScratch allocates the two-level reduction inbox: every member gets
-// regions for (its largest possible intranode set + result) per parity.
-func redScratch[T any](v *team.View, alg string, elems int) (*pgas.Coarray[T], int, int) {
-	regions := maxNodeGroup(v) + 1 // group slots + result slot
-	c := sizeClass(elems)
-	x := v.Memo(team.MemoKey{Kind: "core:redscratch", Alg: alg, N: c}, func() interface{} {
-		return newRedScratch[T](v, alg, c, regions)
-	})
-	if co, ok := x.(*pgas.Coarray[T]); ok {
-		return co, c, regions
-	}
-	// Memo slot taken by another element type: the registry disambiguates.
-	return newRedScratch[T](v, alg, c, regions), c, regions
-}
-
-func newRedScratch[T any](v *team.View, alg string, c, regions int) *pgas.Coarray[T] {
-	name := fmt.Sprintf("core:%s:team%d:cap%d", alg, v.T.ID(), c)
-	return pgas.NewTeamCoarray[T](v.Img.World(), name, c*2*regions, v.T.Members())
+// redScratch returns the two-level reduction scratch, one coarray per role:
+// the leader inbox (per parity, one region per position in the largest
+// node group) and the result landing (one region per parity).
+func redScratch[T any](v *team.View, alg string, elems int) (inbox, results *pgas.Coarray[T], cap_, groupRegions int) {
+	groupRegions = v.T.MaxNodeGroup()
+	inbox, cap_ = hierScratch[T](v, alg, "core:inbox", elems, groupRegions)
+	results, _ = hierScratch[T](v, alg, "core:result", elems, 1)
+	return inbox, results, cap_, groupRegions
 }
 
 // AllreduceTwoLevel is the memory-hierarchy-aware all-to-all reduction
@@ -111,13 +87,13 @@ func AllreduceTwoLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 	st := getRedState(v, alg)
 	st.ep[v.Rank]++
 	ep := st.ep[v.Rank]
-	co, cap_, regions := redScratch[T](v, alg, n)
+	inbox, results, cap_, mg := redScratch[T](v, alg, n)
 	parity := int(ep % 2)
-	region := func(k int) int { return (parity*regions + k) * cap_ }
+	region := func(k int) int { return (parity*mg + k) * cap_ }
+	resultRegion := parity * cap_
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))
-	resultRegion := region(regions - 1)
 
 	if v.Rank != leader {
 		// Step 1 (slave): contribute my vector to the leader's inbox
@@ -129,16 +105,16 @@ func AllreduceTwoLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 				slot = i
 			}
 		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(leader), region(slot), buf, st.flags, 0, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), region(slot), buf, st.flags, 0, 1, pgas.ViaShm)
 		me.WaitFlagGE(st.flags, me.Rank(), 1, ep)
-		copy(buf, pgas.Local(co, me)[resultRegion:resultRegion+n])
+		copy(buf, pgas.Local(results, me)[resultRegion:resultRegion+n])
 		me.MemWork(es * n)
 		return
 	}
 	// Step 1 (leader): combine the intranode set's vectors.
 	if len(group) > 1 {
 		me.WaitFlagGE(st.flags, me.Rank(), 0, ep*int64(len(group)-1))
-		local := pgas.Local(co, me)
+		local := pgas.Local(inbox, me)
 		for i, r := range group {
 			if r == v.Rank {
 				continue
@@ -156,7 +132,7 @@ func AllreduceTwoLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 		if r == v.Rank {
 			continue
 		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(r), resultRegion, buf, st.flags, 1, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, results, t.GlobalRank(r), resultRegion, buf, st.flags, 1, 1, pgas.ViaShm)
 	}
 }
 
@@ -176,9 +152,11 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	st := getRedState(v, alg)
 	st.ep[v.Rank]++
 	ep := st.ep[v.Rank]
-	co, cap_, regions := redScratch[T](v, alg, n)
 	parity := int(ep % 2)
-	dataRegion := (parity*regions + regions - 1) * cap_
+	// Every landing — the root's handoff at its leader, a leader's fan-out
+	// at its members — is a result-role region.
+	co, cap_ := hierScratch[T](v, alg, "core:result", n, 1)
+	dataRegion := parity * cap_
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))

@@ -29,10 +29,10 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	st := getRedState(v, alg)
 	st.ep[v.Rank]++
 	ep := st.ep[v.Rank]
-	co, cap_, regions := redScratch[T](v, alg, n)
 	parity := int(ep % 2)
-	region := func(k int) int { return (parity*regions + k) * cap_ }
-	resultRegion := region(regions - 1)
+	inbox, results, cap_, mg := redScratch[T](v, alg, n)
+	region := func(k int) int { return (parity*mg + k) * cap_ }
+	resultRegion := parity * cap_
 	ackSlot := 3 + parity
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
@@ -55,13 +55,13 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 				slot = i
 			}
 		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(leader), region(slot), buf, st.flags, 5+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), region(slot), buf, st.flags, 5+parity, 1, pgas.ViaShm)
 		if v.Rank == root {
 			// A non-leader root receives the final result from its
 			// leader.
 			st.expect1[v.Rank]++
 			me.WaitFlagGE(st.flags, me.Rank(), 1, st.expect1[v.Rank])
-			copy(buf, pgas.Local(co, me)[resultRegion:resultRegion+n])
+			copy(buf, pgas.Local(results, me)[resultRegion:resultRegion+n])
 			me.MemWork(es * n)
 		}
 		return
@@ -70,7 +70,7 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	if len(group) > 1 {
 		st.ackExpect[parity][v.Rank] += int64(len(group) - 1)
 		me.WaitFlagGE(st.flags, me.Rank(), 5+parity, st.ackExpect[parity][v.Rank])
-		local := pgas.Local(co, me)
+		local := pgas.Local(inbox, me)
 		for i, r := range group {
 			if r == v.Rank {
 				continue
@@ -86,6 +86,6 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	coll.SubgroupReduceToRoot(v, leaders, t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, op, "core.redto2lead."+op.Name, pgas.ViaConduit)
 	// Hand the result to a non-leader root.
 	if v.Rank == rootLeader && root != rootLeader {
-		pgas.PutThenNotify(me, co, t.GlobalRank(root), resultRegion, buf, st.flags, 1, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, results, t.GlobalRank(root), resultRegion, buf, st.flags, 1, 1, pgas.ViaShm)
 	}
 }

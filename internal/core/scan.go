@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
@@ -23,31 +21,6 @@ const (
 	scan2ResultAck   = 10
 	scan2Slots       = 12
 )
-
-// scanChainOrder returns the node-group indices ordered by each group's
-// first team rank, and whether the groups tile the team contiguously in that
-// order (every group's ranks consecutive, each group starting where the
-// previous ended). Only then does a prefix reduction decompose into
-// per-node segments plus one inter-node scan of group totals.
-func scanChainOrder(t *team.Team) ([]int, bool) {
-	order := make([]int, t.NumNodeGroups())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return t.NodeGroup(order[a])[0] < t.NodeGroup(order[b])[0]
-	})
-	next := 0
-	for _, gi := range order {
-		for _, r := range t.NodeGroup(gi) {
-			if r != next {
-				return order, false
-			}
-			next++
-		}
-	}
-	return order, true
-}
 
 // ScanTwoLevel is the hierarchy-aware prefix reduction over team rank order
 // (inclusive: buf becomes the reduction over ranks [0, r]; exclusive: over
@@ -73,7 +46,7 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	if sz == 1 {
 		return
 	}
-	order, contiguous := scanChainOrder(t)
+	order, contiguous := t.RankChain()
 	if !contiguous {
 		ScanFlatFallback(v, buf, op, exclusive)
 		return
@@ -85,14 +58,15 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	st.ep[v.Rank]++
 	ep := st.ep[v.Rank]
 	parity := int(ep % 2)
-	mg := maxNodeGroup(v)
-	// Per-parity layout: the leader's inbox (one vector per group position),
-	// the chain landing region, and the member's result landing region.
-	co, cap_ := hierScratch[T](v, alg, n, mg+2)
-	perPar := (mg + 2) * cap_
-	base := parity * perPar
+	mg := t.MaxNodeGroup()
+	// Per parity: the leader's inbox (one vector per group position)
+	// followed by its chain landing region, and, in a coarray of its own,
+	// the member's result landing region.
+	lead, cap_ := hierScratch[T](v, alg, "core:inbox", n, mg+1)
+	results, _ := hierScratch[T](v, alg, "core:result", n, 1)
+	base := parity * (mg + 1) * cap_
 	chainOff := base + mg*cap_
-	resultOff := base + (mg+1)*cap_
+	resultOff := parity * cap_
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
 	gi := t.GroupOf(v.Rank)
@@ -107,10 +81,10 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 			me.WaitFlagGE(st.flags, me.Rank(), scan2InboxCredit+parity, sends-1)
 		}
 		pos := groupPos(group, v.Rank)
-		pgas.PutThenNotify(me, co, t.GlobalRank(leader), base+pos*cap_, buf, st.flags, scan2InboxSlot+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, lead, t.GlobalRank(leader), base+pos*cap_, buf, st.flags, scan2InboxSlot+parity, 1, pgas.ViaShm)
 		st.slotExpect[v.Rank][scan2ResultSlot+parity]++
 		me.WaitFlagGE(st.flags, me.Rank(), scan2ResultSlot+parity, st.slotExpect[v.Rank][scan2ResultSlot+parity])
-		copy(buf, pgas.Local(co, me)[resultOff:resultOff+n])
+		copy(buf, pgas.Local(results, me)[resultOff:resultOff+n])
 		me.MemWork(es * n)
 		me.NotifyAdd(st.flags, t.GlobalRank(leader), scan2ResultAck+parity, 1, pgas.ViaShm)
 		return
@@ -122,7 +96,7 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 		st.slotExpect[v.Rank][scan2InboxSlot+parity] += int64(gsz - 1)
 		me.WaitFlagGE(st.flags, me.Rank(), scan2InboxSlot+parity, st.slotExpect[v.Rank][scan2InboxSlot+parity])
 	}
-	local := pgas.Local(co, me)
+	local := pgas.Local(lead, me)
 	// Within-node inclusive prefixes, in group (= team rank) order.
 	incl := make([]T, gsz*n)
 	acc := make([]T, n)
@@ -142,12 +116,7 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 		}
 	}
 	// Exclusive scan of node totals along the rank-ordered leader chain.
-	chainPos := 0
-	for i, g := range order {
-		if g == gi {
-			chainPos = i
-		}
-	}
+	chainPos := t.ChainPos(gi)
 	var ex []T // reduction over every preceding node's total; nil at the head
 	if chainPos > 0 {
 		st.slotExpect[v.Rank][scan2ChainSlot+parity]++
@@ -171,7 +140,7 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 			me.WaitFlagGE(st.flags, me.Rank(), scan2ChainCredit+parity, sends-1)
 		}
 		next := t.Leaders()[order[chainPos+1]]
-		pgas.PutThenNotify(me, co, t.GlobalRank(next), chainOff, fwd, st.flags, scan2ChainSlot+parity, 1, pgas.ViaAuto)
+		pgas.PutThenNotify(me, lead, t.GlobalRank(next), chainOff, fwd, st.flags, scan2ChainSlot+parity, 1, pgas.ViaAuto)
 	}
 	// Fold the node-exclusive prefix into each member's result and deliver,
 	// gated on the acks for the previous same-parity fan-out.
@@ -206,7 +175,7 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 			}
 			continue
 		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(r), resultOff, res, st.flags, scan2ResultSlot+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, results, t.GlobalRank(r), resultOff, res, st.flags, scan2ResultSlot+parity, 1, pgas.ViaShm)
 		targets++
 	}
 	st.ackExpect[parity][v.Rank] += int64(targets)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
 	"cafteams/internal/trace"
@@ -30,20 +31,23 @@ type hierState struct {
 }
 
 func getHierState(v *team.View, alg string, slots int) *hierState {
-	w := v.Img.World()
-	key := fmt.Sprintf("core:%s:team%d", alg, v.T.ID())
-	return pgas.LookupOrCreate(w, key, func() interface{} {
-		s := &hierState{
-			flags: pgas.NewFlags(w, key, slots),
-			ep:    make([]int64, v.T.Size()),
-		}
-		s.slotExpect = make([][]int64, v.T.Size())
-		for i := range s.slotExpect {
-			s.slotExpect[i] = make([]int64, slots)
-		}
-		s.ackExpect[0] = make([]int64, v.T.Size())
-		s.ackExpect[1] = make([]int64, v.T.Size())
-		return s
+	return v.Memo(team.MemoKey{Kind: "core:hier", Alg: alg}, func() interface{} {
+		w := v.Img.World()
+		key := fmt.Sprintf("core:%s:team%d", alg, v.T.ID())
+		return pgas.LookupOrCreate(w, key, func() interface{} {
+			sz := v.T.Size()
+			cells := make(coll.Counters, (3+slots)*sz)
+			s := &hierState{
+				flags:      pgas.NewFlags(w, key, slots),
+				ep:         cells.Take(sz),
+				slotExpect: make([][]int64, sz),
+				ackExpect:  [2][]int64{cells.Take(sz), cells.Take(sz)},
+			}
+			for i := range s.slotExpect {
+				s.slotExpect[i] = cells.Take(slots)
+			}
+			return s
+		})
 	}).(*hierState)
 }
 
@@ -59,14 +63,27 @@ func sizeClass(elems int) int {
 	return c
 }
 
-// hierScratch allocates a symmetric scratch slab laid out as `regions`
-// cap-sized regions per parity, cap = the size class of elems (so repeated
-// calls with varying vector lengths reuse one allocation per size class).
-func hierScratch[T any](v *team.View, alg string, elems, regions int) (*pgas.Coarray[T], int) {
+// hierScratch returns one role's scratch coarray of a two-level layout:
+// `regions` cap-sized regions per parity, cap = the size class of elems (so
+// repeated calls with varying vector lengths reuse one allocation per size
+// class). Every role of a layout (a leader's inbox, a member's result
+// landing...) gets its own coarray, so first touch allocates on each image
+// only the regions its role uses. role is a constant tag naming the role.
+func hierScratch[T any](v *team.View, alg, role string, elems, regions int) (*pgas.Coarray[T], int) {
 	cap_ := sizeClass(elems)
-	name := fmt.Sprintf("core:%s:%s:team%d:cap%d", alg, pgas.TypeName[T](), v.T.ID(), cap_)
-	co := pgas.NewTeamCoarray[T](v.Img.World(), name, cap_*2*regions, v.T.Members())
-	return co, cap_
+	x := v.Memo(team.MemoKey{Kind: role, Alg: alg, N: cap_, M: regions}, func() interface{} {
+		return newHierScratch[T](v, alg, role, cap_, regions)
+	})
+	if co, ok := x.(*pgas.Coarray[T]); ok {
+		return co, cap_
+	}
+	// Memo slot taken by another element type: the registry disambiguates.
+	return newHierScratch[T](v, alg, role, cap_, regions), cap_
+}
+
+func newHierScratch[T any](v *team.View, alg, role string, cap_, regions int) *pgas.Coarray[T] {
+	name := fmt.Sprintf("%s:%s:team%d:cap%d", role, alg, v.T.ID(), cap_)
+	return pgas.NewTeamCoarray[T](v.Img.World(), name, cap_*2*regions, v.T.Members())
 }
 
 // groupPos returns rank's index within its (ascending) node group.
@@ -126,14 +143,14 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	st.ep[v.Rank]++
 	ep := st.ep[v.Rank]
 	parity := int(ep % 2)
-	maxGroup := maxNodeGroup(v)
-	// Per-parity layout: a pack landing area (maxGroup blocks, written by the
-	// episode root) then one member block landing region (written by the
+	maxGroup := t.MaxNodeGroup()
+	// Per parity: a leader's pack landing area (maxGroup blocks, written by
+	// the episode root) and a member's block landing region (written by the
 	// image's node leader).
-	co, cap_ := hierScratch[T](v, alg, n, maxGroup+1)
-	perPar := (maxGroup + 1) * cap_
-	packBase := parity * perPar
-	blockOff := packBase + maxGroup*cap_
+	packs, cap_ := hierScratch[T](v, alg, "core:inbox", n, maxGroup)
+	blocks, _ := hierScratch[T](v, alg, "core:result", n, 1)
+	packBase := parity * maxGroup * cap_
+	blockOff := parity * cap_
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))
@@ -155,12 +172,12 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 				copy(pack[i*n:(i+1)*n], send[r*n:r*n+n])
 			}
 			me.MemWork(es * len(pack))
-			pgas.PutThenNotify(me, co, t.GlobalRank(l), packBase, pack, st.flags, sc2PackSlot+parity, 1, pgas.ViaAuto)
+			pgas.PutThenNotify(me, packs, t.GlobalRank(l), packBase, pack, st.flags, sc2PackSlot+parity, 1, pgas.ViaAuto)
 			sent++
 		}
 		if v.Rank == leader {
 			// A root that leads its node fans out straight from send.
-			scatterFanOut(v, st, co, blockOff, parity, root, group, es, n,
+			scatterFanOut(v, st, blocks, blockOff, parity, root, group, es, n,
 				func(i, r int) []T { return send[r*n : r*n+n] })
 		}
 		if sent > 0 {
@@ -182,11 +199,11 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		// moment the fan-out puts are issued — puts capture data at issue).
 		st.slotExpect[v.Rank][sc2PackSlot+parity]++
 		me.WaitFlagGE(st.flags, me.Rank(), sc2PackSlot+parity, st.slotExpect[v.Rank][sc2PackSlot+parity])
-		local := pgas.Local(co, me)
+		local := pgas.Local(packs, me)
 		pos := groupPos(group, v.Rank)
 		copy(recv, local[packBase+pos*n:packBase+pos*n+n])
 		me.MemWork(es * n)
-		scatterFanOut(v, st, co, blockOff, parity, root, group, es, n,
+		scatterFanOut(v, st, blocks, blockOff, parity, root, group, es, n,
 			func(i, r int) []T { return local[packBase+i*n : packBase+(i+1)*n] })
 		me.NotifyAdd(st.flags, t.GlobalRank(root), sc2RootAck+parity, 1, pgas.ViaAuto)
 		return
@@ -195,7 +212,7 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	// memory; ack it so the leader may reuse my landing region.
 	st.slotExpect[v.Rank][sc2BlockSlot+parity]++
 	me.WaitFlagGE(st.flags, me.Rank(), sc2BlockSlot+parity, st.slotExpect[v.Rank][sc2BlockSlot+parity])
-	copy(recv, pgas.Local(co, me)[blockOff:blockOff+n])
+	copy(recv, pgas.Local(blocks, me)[blockOff:blockOff+n])
 	me.MemWork(es * n)
 	me.NotifyAdd(st.flags, t.GlobalRank(leader), sc2MemberAck+parity, 1, pgas.ViaShm)
 }
@@ -203,7 +220,7 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 // scatterFanOut delivers per-member blocks to the leader's intranode set,
 // gated on the acks for the previous same-parity fan-out. block(i, r) yields
 // group position i / team rank r's block.
-func scatterFanOut[T any](v *team.View, st *hierState, co *pgas.Coarray[T], blockOff, parity, root int, group []int, es, n int, block func(i, r int) []T) {
+func scatterFanOut[T any](v *team.View, st *hierState, blocks *pgas.Coarray[T], blockOff, parity, root int, group []int, es, n int, block func(i, r int) []T) {
 	me := v.Img
 	t := v.T
 	if gate := st.ackExpect[parity][v.Rank]; gate > 0 {
@@ -214,7 +231,7 @@ func scatterFanOut[T any](v *team.View, st *hierState, co *pgas.Coarray[T], bloc
 		if r == v.Rank || r == root {
 			continue
 		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(r), blockOff, block(i, r), st.flags, sc2BlockSlot+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, blocks, t.GlobalRank(r), blockOff, block(i, r), st.flags, sc2BlockSlot+parity, 1, pgas.ViaShm)
 		targets++
 	}
 	st.ackExpect[parity][v.Rank] += int64(targets)
@@ -265,16 +282,16 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	st.ep[v.Rank]++
 	ep := st.ep[v.Rank]
 	parity := int(ep % 2)
-	maxGroup := maxNodeGroup(v)
+	maxGroup := t.MaxNodeGroup()
 	leaders := t.Leaders()
 	ng := len(leaders)
-	// Per-parity layout: the leader's pack assembly area (maxGroup blocks,
-	// written by its intranode set), then one pack landing region per node
-	// group (written by that group's leader, read at the episode root).
-	co, cap_ := hierScratch[T](v, alg, n, maxGroup*(1+ng))
-	perPar := maxGroup * (1 + ng) * cap_
-	packBase := parity * perPar
-	landBase := func(gi int) int { return packBase + maxGroup*cap_ + gi*maxGroup*cap_ }
+	// Per parity: a leader's pack assembly area (maxGroup blocks, written
+	// by its intranode set), and at the episode root one pack landing
+	// region per node group (written by that group's leader).
+	packs, cap_ := hierScratch[T](v, alg, "core:inbox", n, maxGroup)
+	lands, _ := hierScratch[T](v, alg, "core:root", n, maxGroup*ng)
+	packBase := parity * maxGroup * cap_
+	landBase := func(gi int) int { return (parity*ng + gi) * maxGroup * cap_ }
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
 	group := t.NodeGroup(t.GroupOf(v.Rank))
@@ -287,11 +304,12 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 			me.WaitFlagGE(st.flags, me.Rank(), ga2MemberCredit+parity, sends-1)
 		}
 		pos := groupPos(group, v.Rank)
-		pgas.PutThenNotify(me, co, t.GlobalRank(leader), packBase+pos*n, send, st.flags, ga2BlockSlot+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, packs, t.GlobalRank(leader), packBase+pos*n, send, st.flags, ga2BlockSlot+parity, 1, pgas.ViaShm)
 		return
 	}
-	local := pgas.Local(co, me)
+	var local []T // my pack assembly area, at a leader
 	if v.Rank == leader {
+		local = pgas.Local(packs, me)
 		// Assemble the node pack: count exactly the contributors (the root
 		// keeps its block local, so it never contributes).
 		contribs := 0
@@ -316,7 +334,7 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 				me.WaitFlagGE(st.flags, me.Rank(), ga2LeaderCredit+parity, sends-1)
 			}
 			gi := t.GroupOf(v.Rank)
-			pgas.PutThenNotify(me, co, t.GlobalRank(root), landBase(gi), local[packBase:packBase+len(group)*n], st.flags, ga2PackSlot+parity, 1, pgas.ViaAuto)
+			pgas.PutThenNotify(me, lands, t.GlobalRank(root), landBase(gi), local[packBase:packBase+len(group)*n], st.flags, ga2PackSlot+parity, 1, pgas.ViaAuto)
 			// The pack area is consumed the moment the put is issued.
 			for _, r := range group {
 				if r != v.Rank && r != root {
@@ -337,17 +355,21 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		st.slotExpect[v.Rank][ga2PackSlot+parity] += int64(sendersExpected)
 		me.WaitFlagGE(st.flags, me.Rank(), ga2PackSlot+parity, st.slotExpect[v.Rank][ga2PackSlot+parity])
 	}
+	var landed []T
+	if sendersExpected > 0 {
+		landed = pgas.Local(lands, me)
+	}
 	for gi, l := range leaders {
 		grp := t.NodeGroup(gi)
-		base := landBase(gi)
+		src, base := landed, landBase(gi)
 		if l == root {
-			base = packBase // my own node assembled in place
+			src, base = local, packBase // my own node assembled in place
 		}
 		for i, r := range grp {
 			if r == root {
 				continue
 			}
-			copy(recv[r*n:r*n+n], local[base+i*n:base+i*n+n])
+			copy(recv[r*n:r*n+n], src[base+i*n:base+i*n+n])
 			me.MemWork(es * n)
 		}
 		if l != root {

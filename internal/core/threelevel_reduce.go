@@ -32,10 +32,19 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 	st := getRedState(v, alg)
 	st.ep[v.Rank]++
 	ep := st.ep[v.Rank]
-	co, cap_, regions, leaderBase := red3Scratch[T](v, alg, n)
+	// One coarray per role: socket leaders' inboxes for their socket
+	// group, node leaders' inboxes for the other socket leaders, and the
+	// result landing. The two inboxes must not share regions: at a node
+	// leader both its own socket's members and the other socket leaders
+	// deposit concurrently.
+	maxGroup, maxLead := t.MaxSocketShape()
+	sockIn, cap_ := hierScratch[T](v, alg, "core:inbox", n, maxGroup)
+	nodeIn, _ := hierScratch[T](v, alg, "core:nodeinbox", n, maxLead)
+	results, _ := hierScratch[T](v, alg, "core:result", n, 1)
 	parity := int(ep % 2)
-	region := func(k int) int { return (parity*regions + k) * cap_ }
-	resultRegion := region(regions - 1)
+	sockRegion := func(k int) int { return (parity*maxGroup + k) * cap_ }
+	nodeRegion := func(k int) int { return (parity*maxLead + k) * cap_ }
+	resultRegion := parity * cap_
 	me := v.Img
 
 	gi := t.GroupOf(v.Rank)
@@ -47,45 +56,42 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 	if v.Rank != mySocketLeader {
 		// Step 1 (core): contribute to the socket leader, await result.
 		slot := slotIn(mySocketGroup, v.Rank)
-		pgas.PutThenNotify(me, co, t.GlobalRank(mySocketLeader), region(slot), buf, st.flags, 0, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, sockIn, t.GlobalRank(mySocketLeader), sockRegion(slot), buf, st.flags, 0, 1, pgas.ViaShm)
 		me.WaitFlagGE(st.flags, me.Rank(), 1, ep)
-		copy(buf, pgas.Local(co, me)[resultRegion:resultRegion+n])
+		copy(buf, pgas.Local(results, me)[resultRegion:resultRegion+n])
 		me.MemWork(es * n)
 		return
 	}
 	// Socket leader: combine the socket group's vectors.
 	if len(mySocketGroup) > 1 {
 		me.WaitFlagGE(st.flags, me.Rank(), 0, ep*int64(len(mySocketGroup)-1))
-		local := pgas.Local(co, me)
+		local := pgas.Local(sockIn, me)
 		for i, r := range mySocketGroup {
 			if r == v.Rank {
 				continue
 			}
-			off := region(i)
+			off := sockRegion(i)
 			op.Combine(buf, local[off:off+n])
 			me.MemWork(2 * es * n)
 		}
 	}
 	if v.Rank != nodeLeader {
 		// Step 2 (socket leader): contribute to the node leader, await
-		// result, then release the socket. Socket leaders land in their
-		// own region range (leaderBase..) — a socket-group member of the
-		// node leader's socket writes the low regions concurrently.
-		slot := leaderBase + slotIn(sleaders, v.Rank)
-		pgas.PutThenNotify(me, co, t.GlobalRank(nodeLeader), region(slot), buf, st.flags, 2, 1, pgas.ViaShm)
+		// result, then release the socket.
+		pgas.PutThenNotify(me, nodeIn, t.GlobalRank(nodeLeader), nodeRegion(slotIn(sleaders, v.Rank)), buf, st.flags, 2, 1, pgas.ViaShm)
 		me.WaitFlagGE(st.flags, me.Rank(), 3, ep)
-		copy(buf, pgas.Local(co, me)[resultRegion:resultRegion+n])
+		copy(buf, pgas.Local(results, me)[resultRegion:resultRegion+n])
 		me.MemWork(es * n)
 	} else {
 		// Node leader: combine the other socket leaders' partials.
 		if len(sleaders) > 1 {
 			me.WaitFlagGE(st.flags, me.Rank(), 2, ep*int64(len(sleaders)-1))
-			local := pgas.Local(co, me)
+			local := pgas.Local(nodeIn, me)
 			for i, r := range sleaders {
 				if r == v.Rank {
 					continue
 				}
-				off := region(leaderBase + i)
+				off := nodeRegion(i)
 				op.Combine(buf, local[off:off+n])
 				me.MemWork(2 * es * n)
 			}
@@ -97,7 +103,7 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 			if sl == v.Rank {
 				continue
 			}
-			pgas.PutThenNotify(me, co, t.GlobalRank(sl), resultRegion, buf, st.flags, 3, 1, pgas.ViaShm)
+			pgas.PutThenNotify(me, results, t.GlobalRank(sl), resultRegion, buf, st.flags, 3, 1, pgas.ViaShm)
 		}
 	}
 	// Step 5: release my socket group.
@@ -105,34 +111,8 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 		if r == v.Rank {
 			continue
 		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(r), resultRegion, buf, st.flags, 1, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, results, t.GlobalRank(r), resultRegion, buf, st.flags, 1, 1, pgas.ViaShm)
 	}
-}
-
-// red3Scratch sizes the 3-level inbox: regions for the largest socket
-// group, then (disjoint, at leaderBase) for the largest socket-leader set,
-// then the result, per parity. The socket-member and socket-leader ranges
-// must not overlap: at a node leader both its own socket's members and the
-// other socket leaders deposit concurrently.
-func red3Scratch[T any](v *team.View, alg string, elems int) (co *pgas.Coarray[T], cap_, regions, leaderBase int) {
-	maxGroup := 1
-	maxLead := 1
-	for gi := 0; gi < v.T.NumNodeGroups(); gi++ {
-		for _, sg := range v.T.SocketGroups(gi) {
-			if len(sg) > maxGroup {
-				maxGroup = len(sg)
-			}
-		}
-		if l := len(v.T.SocketLeaders(gi)); l > maxLead {
-			maxLead = l
-		}
-	}
-	leaderBase = maxGroup
-	regions = maxGroup + maxLead + 1
-	c := sizeClass(elems)
-	name := fmt.Sprintf("core:%s:team%d:cap%d", alg, v.T.ID(), c)
-	co = pgas.NewTeamCoarray[T](v.Img.World(), name, c*2*regions, v.T.Members())
-	return co, c, regions, leaderBase
 }
 
 // slotIn returns r's index within group.

@@ -2,6 +2,8 @@ package pgas
 
 import (
 	"fmt"
+	"reflect"
+	"sync/atomic"
 
 	"cafteams/internal/trace"
 )
@@ -11,6 +13,12 @@ import (
 // CAF "A(i)[k]" access pattern. Remote access goes through Put/Get below;
 // local access through Local is a plain slice.
 //
+// Slabs are created on first touch: the first Put, Get, PutThenNotify or
+// Local that addresses image k's slab allocates it (zeroed), so an image
+// whose slab no operation ever reaches pays nothing for it. On the native
+// backend several images may touch one slab at once; a compare-and-swap
+// publishes exactly one of their allocations.
+//
 // The element size (for transfer-cost accounting) is inferred for the
 // common numeric types and defaults to 8 bytes otherwise.
 type Coarray[T any] struct {
@@ -18,10 +26,11 @@ type Coarray[T any] struct {
 	name     string
 	n        int
 	elemSize int
-	data     [][]T
-	// members restricts which images own a slab (team-scoped coarrays
-	// allocated inside a change-team block). nil means all images.
-	members map[int]bool
+	// slabs[r] is image r's slab, nil until first touch. Images outside a
+	// team-scoped allocation (allocated inside a change-team block) hold
+	// notOwned instead.
+	slabs    []atomic.Pointer[[]T]
+	notOwned *[]T
 
 	// stageFree pools put-staging records (see putStage). Only the sim
 	// transport stages (Immediate() == false), and its execution is
@@ -85,13 +94,11 @@ func ElemSize[T any]() int { return sizeOf[T]() }
 
 // TypeName returns a stable tag naming T, for keying per-type allocations
 // (two coarrays that share a name but differ in element type must not alias).
-func TypeName[T any]() string {
-	var z T
-	return fmt.Sprintf("%T", z)
-}
+// The name is read from the type descriptor, so the call allocates nothing.
+func TypeName[T any]() string { return reflect.TypeFor[T]().String() }
 
 // NewCoarray collectively allocates a coarray of n elements per image across
-// the whole world.
+// the whole world. Each image's slab is created on first touch.
 func NewCoarray[T any](w *World, name string, n int) *Coarray[T] {
 	return newCoarrayOn[T](w, name, n, nil)
 }
@@ -99,7 +106,8 @@ func NewCoarray[T any](w *World, name string, n int) *Coarray[T] {
 // NewTeamCoarray collectively allocates a coarray whose slabs exist only on
 // the given member images (global ranks) — the paper's "declare and allocate
 // coarrays within a change team block ... allocated only in the images
-// operating on it".
+// operating on it". A member's slab is created on first touch, so members
+// no operation reaches hold no slab either. members is read only here.
 func NewTeamCoarray[T any](w *World, name string, n int, members []int) *Coarray[T] {
 	return newCoarrayOn[T](w, name, n, members)
 }
@@ -113,16 +121,14 @@ func newCoarrayOn[T any](w *World, name string, n int, members []int) *Coarray[T
 	// crash on second use.
 	return w.lookupOrCreate("coarray:"+TypeName[T]()+":"+name, func() interface{} {
 		c := &Coarray[T]{w: w, name: name, n: n, elemSize: sizeOf[T]()}
-		c.data = make([][]T, w.NumImages())
-		if members == nil {
-			for i := range c.data {
-				c.data[i] = make([]T, n)
+		c.slabs = make([]atomic.Pointer[[]T], w.NumImages())
+		if members != nil {
+			c.notOwned = new([]T)
+			for i := range c.slabs {
+				c.slabs[i].Store(c.notOwned)
 			}
-		} else {
-			c.members = make(map[int]bool, len(members))
 			for _, m := range members {
-				c.members[m] = true
-				c.data[m] = make([]T, n)
+				c.slabs[m].Store(nil)
 			}
 		}
 		return c
@@ -137,15 +143,32 @@ func (c *Coarray[T]) Len() int { return c.n }
 
 // OwnedBy reports whether image rank owns a slab of this coarray.
 func (c *Coarray[T]) OwnedBy(rank int) bool {
-	return c.members == nil || c.members[rank]
+	return c.notOwned == nil || c.slabs[rank].Load() != c.notOwned
 }
 
+// slab returns image rank's slab, creating it on first touch.
 func (c *Coarray[T]) slab(rank int) []T {
-	s := c.data[rank]
-	if s == nil {
+	if p := c.slabs[rank].Load(); p != nil && p != c.notOwned {
+		return *p
+	}
+	return c.touch(rank)
+}
+
+// touch is slab's first-touch path: it publishes a zeroed slab unless
+// another image published one first, and rejects non-members.
+func (c *Coarray[T]) touch(rank int) []T {
+	p := c.slabs[rank].Load()
+	if p == nil {
+		s := make([]T, c.n)
+		if c.slabs[rank].CompareAndSwap(nil, &s) {
+			return s
+		}
+		p = c.slabs[rank].Load() // another image published first
+	}
+	if p == c.notOwned {
 		panic(fmt.Sprintf("pgas: image %d does not own coarray %q (team-scoped allocation)", rank, c.name))
 	}
-	return s
+	return *p
 }
 
 // Local returns this image's own slab for direct computation. No transfer

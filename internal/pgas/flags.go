@@ -25,9 +25,12 @@ import (
 // waiter's atomic load → payload read), which is also what keeps the race
 // detector quiet about the payload copies themselves.
 type Flags struct {
-	w    *World
-	name string
-	data [][]int64
+	w     *World
+	name  string
+	slots int
+	// cells holds every image's row of slots back to back: image r's row
+	// is cells[r*slots : (r+1)*slots].
+	cells []int64
 }
 
 // NewFlags allocates a flags array with slots slots per image. Like a
@@ -41,12 +44,7 @@ func NewFlags(w *World, name string, slots int) *Flags {
 		panic(fmt.Sprintf("pgas: flags %q with %d slots", name, slots))
 	}
 	return w.lookupOrCreate("flags:"+name, func() interface{} {
-		f := &Flags{w: w, name: name}
-		f.data = make([][]int64, w.NumImages())
-		for i := range f.data {
-			f.data[i] = make([]int64, slots)
-		}
-		return f
+		return &Flags{w: w, name: name, slots: slots, cells: make([]int64, w.NumImages()*slots)}
 	}).(*Flags)
 }
 
@@ -54,7 +52,7 @@ func NewFlags(w *World, name string, slots int) *Flags {
 func (f *Flags) Name() string { return f.name }
 
 // Slots returns the per-image slot count.
-func (f *Flags) Slots() int { return len(f.data[0]) }
+func (f *Flags) Slots() int { return f.slots }
 
 // Peek returns the current value of a slot without synchronization or cost;
 // for tests and local fast-path checks.
@@ -63,21 +61,28 @@ func (f *Flags) Peek(owner, idx int) int64 { return f.load(owner, idx) }
 // load/store/add/storeMax/fetchOp/compareAndSwap are the only accessors of
 // flag cells; see the type comment for why they are atomic on both backends.
 
+// cell returns slot idx of owner's row; idx is bounds-checked against the
+// row, not the whole table.
+func (f *Flags) cell(owner, idx int) *int64 {
+	row := f.cells[owner*f.slots : (owner+1)*f.slots]
+	return &row[idx]
+}
+
 func (f *Flags) load(owner, idx int) int64 {
-	return atomic.LoadInt64(&f.data[owner][idx])
+	return atomic.LoadInt64(f.cell(owner, idx))
 }
 
 func (f *Flags) store(owner, idx int, val int64) {
-	atomic.StoreInt64(&f.data[owner][idx], val)
+	atomic.StoreInt64(f.cell(owner, idx), val)
 }
 
 func (f *Flags) add(owner, idx int, delta int64) {
-	atomic.AddInt64(&f.data[owner][idx], delta)
+	atomic.AddInt64(f.cell(owner, idx), delta)
 }
 
 // storeMax raises the cell to val if it is below (monotonic max).
 func (f *Flags) storeMax(owner, idx int, val int64) {
-	cell := &f.data[owner][idx]
+	cell := f.cell(owner, idx)
 	for {
 		old := atomic.LoadInt64(cell)
 		if old >= val || atomic.CompareAndSwapInt64(cell, old, val) {
@@ -88,7 +93,7 @@ func (f *Flags) storeMax(owner, idx int, val int64) {
 
 // fetchOp applies op atomically and returns the previous value.
 func (f *Flags) fetchOp(owner, idx int, op AtomicOp, operand int64) int64 {
-	cell := &f.data[owner][idx]
+	cell := f.cell(owner, idx)
 	for {
 		old := atomic.LoadInt64(cell)
 		if atomic.CompareAndSwapInt64(cell, old, op.apply(old, operand)) {
@@ -100,7 +105,7 @@ func (f *Flags) fetchOp(owner, idx int, op AtomicOp, operand int64) int64 {
 // compareAndSwap returns the previous value; the swap happened iff it
 // equals expected.
 func (f *Flags) compareAndSwap(owner, idx int, expected, desired int64) int64 {
-	cell := &f.data[owner][idx]
+	cell := f.cell(owner, idx)
 	for {
 		old := atomic.LoadInt64(cell)
 		if old != expected {

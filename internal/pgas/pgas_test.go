@@ -3,6 +3,7 @@ package pgas
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -331,19 +332,31 @@ func TestTeamCoarrayOwnership(t *testing.T) {
 	})
 }
 
+// TestTeamCoarrayAccessByNonMemberPanics: a non-member's own access and a
+// put into a non-member both panic with the team-scoped allocation message,
+// also after members have touched their slabs.
 func TestTeamCoarrayAccessByNonMemberPanics(t *testing.T) {
-	w := newTestWorld(t, 2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-member access did not panic")
-		}
-	}()
-	w.Run(func(im *Image) {
-		co := NewTeamCoarray[float64](w, "team2", 4, []int{0, 1})
-		if im.Rank() == 2 {
-			Local(co, im)
-		}
-	})
+	for _, putter := range []bool{false, true} {
+		func() {
+			w := newTestWorld(t, 2, 2)
+			defer func() {
+				want := `pgas: image 2 does not own coarray "team2" (team-scoped allocation)`
+				if got := fmt.Sprint(recover()); !strings.Contains(got, want) {
+					t.Errorf("put=%v: panic %q, want %q", putter, got, want)
+				}
+			}()
+			w.Run(func(im *Image) {
+				co := NewTeamCoarray[float64](w, "team2", 4, []int{0, 1})
+				switch {
+				case im.Rank() == 0 && putter:
+					Local(co, im)
+					Put(im, co, 2, 0, []float64{1}, ViaConduit)
+				case im.Rank() == 2 && !putter:
+					Local(co, im)
+				}
+			})
+		}()
+	}
 }
 
 func TestCoarrayBoundsChecked(t *testing.T) {

@@ -29,6 +29,7 @@ type Team struct {
 	parent  *Team
 	members []int       // global ranks in team order
 	rankOf  map[int]int // global rank -> team rank
+	ranks   []int       // [0..size): the whole team as a team-rank group
 
 	// Node-level hierarchy (2-level methodology).
 	nodes      []int       // distinct nodes hosting members, ascending
@@ -37,11 +38,21 @@ type Team struct {
 	leaders    []int       // team rank of each node group's leader
 	leaderOf   []int       // team rank -> its node leader's team rank
 	leaderPos  map[int]int // leader team rank -> index in leaders
+	maxGroup   int         // size of the largest node group
+
+	// Rank chain: node-group indices ordered by each group's first team
+	// rank, each group's position in that order, and whether the groups
+	// tile the team contiguously in it (see RankChain).
+	chain      []int
+	chainPos   []int
+	contiguous bool
 
 	// Socket-level hierarchy (3-level extension): within each node group,
 	// members split by socket.
 	socketGroups [][][]int // [node group][socket group] -> team ranks
 	socketLeader [][]int   // [node group] -> team rank of each socket leader
+	maxSocket    int       // size of the largest socket group
+	maxSockLead  int       // most socket leaders on one node
 
 }
 
@@ -102,8 +113,10 @@ func build(w *pgas.World, id, number int64, parent *Team, members []int) *Team {
 		members: append([]int(nil), members...),
 		rankOf:  make(map[int]int, len(members)),
 	}
+	t.ranks = make([]int, len(t.members))
 	for r, g := range t.members {
 		t.rankOf[g] = r
+		t.ranks[r] = r
 	}
 	topo := w.Topology()
 	// Group team ranks by node.
@@ -125,6 +138,7 @@ func build(w *pgas.World, id, number int64, parent *Team, members []int) *Team {
 		grp := byNode[n]
 		sort.Ints(grp)
 		t.nodeGroups = append(t.nodeGroups, grp)
+		t.maxGroup = max(t.maxGroup, len(grp))
 		leader := grp[0]
 		t.leaders = append(t.leaders, leader)
 		t.leaderPos[leader] = gi
@@ -150,11 +164,38 @@ func build(w *pgas.World, id, number int64, parent *Team, members []int) *Team {
 			sort.Ints(sg)
 			sgroups = append(sgroups, sg)
 			sleaders = append(sleaders, sg[0])
+			t.maxSocket = max(t.maxSocket, len(sg))
 		}
+		t.maxSockLead = max(t.maxSockLead, len(sleaders))
 		t.socketGroups = append(t.socketGroups, sgroups)
 		t.socketLeader = append(t.socketLeader, sleaders)
 	}
+	t.buildChain()
 	return t
+}
+
+// buildChain orders the node groups by first team rank and checks whether
+// they tile the team contiguously in that order.
+func (t *Team) buildChain() {
+	t.chain = make([]int, len(t.nodeGroups))
+	for i := range t.chain {
+		t.chain[i] = i
+	}
+	sort.Slice(t.chain, func(a, b int) bool {
+		return t.nodeGroups[t.chain[a]][0] < t.nodeGroups[t.chain[b]][0]
+	})
+	t.chainPos = make([]int, len(t.chain))
+	t.contiguous = true
+	next := 0
+	for pos, gi := range t.chain {
+		t.chainPos[gi] = pos
+		for _, r := range t.nodeGroups[gi] {
+			if r != next {
+				t.contiguous = false
+			}
+			next++
+		}
+	}
 }
 
 // Initial returns the world's initial team (all images), creating it on
@@ -183,6 +224,10 @@ func (t *Team) Parent() *Team { return t.parent }
 
 // Size returns the number of member images.
 func (t *Team) Size() int { return len(t.members) }
+
+// Ranks returns [0..Size()), the whole team as a group of team ranks. The
+// slice is shared by every member; the caller must not modify it.
+func (t *Team) Ranks() []int { return t.ranks }
 
 // Members returns the global ranks of the members in team order. The caller
 // must not modify the returned slice.
@@ -223,6 +268,18 @@ func (t *Team) LeaderPos(r int) int {
 	return -1
 }
 
+// MaxNodeGroup returns the size of the team's largest node group.
+func (t *Team) MaxNodeGroup() int { return t.maxGroup }
+
+// RankChain returns the node-group indices ordered by each group's first
+// team rank, and whether the groups tile the team contiguously in that
+// order (every group's ranks consecutive, each group starting where the
+// previous ended). The caller must not modify the returned slice.
+func (t *Team) RankChain() (order []int, contiguous bool) { return t.chain, t.contiguous }
+
+// ChainPos returns node group gi's position in RankChain's order.
+func (t *Team) ChainPos(gi int) int { return t.chainPos[gi] }
+
 // GroupOf returns the node-group index of team rank r.
 func (t *Team) GroupOf(r int) int { return t.groupOf[r] }
 
@@ -232,6 +289,10 @@ func (t *Team) SocketGroups(gi int) [][]int { return t.socketGroups[gi] }
 // SocketLeaders returns the team rank of each socket leader in node group
 // gi.
 func (t *Team) SocketLeaders(gi int) []int { return t.socketLeader[gi] }
+
+// MaxSocketShape returns the size of the team's largest socket group and
+// the largest number of socket leaders on one node.
+func (t *Team) MaxSocketShape() (group, leaders int) { return t.maxSocket, t.maxSockLead }
 
 // NumImages is the team-relative num_images intrinsic.
 func (v *View) NumImages() int { return v.T.Size() }

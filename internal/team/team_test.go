@@ -438,3 +438,44 @@ func TestFormPartitionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPrecomputedShape: the shape queries the collectives read every
+// episode — the whole-team rank list, the largest node and socket groups,
+// and the rank-ordered chain of node groups — are built once with the team
+// and agree with the groups themselves.
+func TestPrecomputedShape(t *testing.T) {
+	w := newWorld(t, "16(2)") // 8 per node, 2 sockets of 4
+	for _, tc := range []struct {
+		members    []int
+		maxGroup   int
+		socket     [2]int
+		chain      []int
+		contiguous bool
+	}{
+		{[]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 8, [2]int{4, 2}, []int{0, 1}, true},
+		// Node 1's images come first in team order: the chain starts there.
+		{[]int{8, 9, 10, 0, 1}, 3, [2]int{3, 1}, []int{1, 0}, true},
+		// Interleaved nodes: no contiguous decomposition.
+		{[]int{0, 8, 1, 9}, 2, [2]int{2, 1}, []int{0, 1}, false},
+		{[]int{5, 0, 4, 12}, 3, [2]int{2, 2}, []int{0, 1}, true},
+	} {
+		tm := build(w, 1, 1, nil, tc.members)
+		for r, x := range tm.Ranks() {
+			if x != r || len(tm.Ranks()) != len(tc.members) {
+				t.Fatalf("%v: Ranks() = %v", tc.members, tm.Ranks())
+			}
+		}
+		g, l := tm.MaxSocketShape()
+		order, contiguous := tm.RankChain()
+		if tm.MaxNodeGroup() != tc.maxGroup || [2]int{g, l} != tc.socket ||
+			fmt.Sprint(order) != fmt.Sprint(tc.chain) || contiguous != tc.contiguous {
+			t.Errorf("%v: max group %d, socket shape (%d, %d), chain %v contiguous %v; want %d, %v, %v %v",
+				tc.members, tm.MaxNodeGroup(), g, l, order, contiguous, tc.maxGroup, tc.socket, tc.chain, tc.contiguous)
+		}
+		for pos, gi := range order {
+			if tm.ChainPos(gi) != pos {
+				t.Errorf("%v: ChainPos(%d) = %d, want %d", tc.members, gi, tm.ChainPos(gi), pos)
+			}
+		}
+	}
+}
