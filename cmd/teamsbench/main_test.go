@@ -108,6 +108,40 @@ func TestAlgSweepRejectsUnknown(t *testing.T) {
 	}
 }
 
+// TestAlgSweepGolden pins the modeled output of every registered algorithm
+// byte for byte: `teamsbench -alg all -algspecs '16(4),64(8),9(3)' -elems 32
+// -iters 3` must print testdata/alg-sweep.golden exactly. Latency, message
+// counts and ratios are all simulated, so any change to a protocol's
+// messages, sizes, paths or timing shows up here. Regenerate the file with
+// that command only when a change to the model is intended.
+func TestAlgSweepGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/alg-sweep.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := captureStdout(t, func() {
+		if err := runAlgSweep("all", "16(4),64(8),9(3)", 32, 3, false, "sim", ""); err != nil {
+			t.Errorf("alg sweep: %v", err)
+		}
+	})
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("alg sweep differs from testdata/alg-sweep.golden at line %d:\n got: %q\nwant: %q", i+1, g, w)
+		}
+	}
+}
+
 // TestExperimentTables smoke-runs the cheapest experiment and the overlap
 // table so the e* plumbing is exercised by tier-1.
 func TestExperimentTables(t *testing.T) {
