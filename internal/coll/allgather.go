@@ -30,9 +30,9 @@ func AllgatherRing[T any](v *team.View, mine, out []T, via pgas.Via) {
 		return
 	}
 	steps := sz - 1
-	st := getState(v, "ag.ring."+via.String()+"."+tag[T](), steps)
-	ep := st.next(v.Rank)
-	co, cap_ := scratch[T](v, "ag.ring", n, 2*steps)
+	st := GetState(v, "ag.ring."+via.String()+"."+tag[T](), steps)
+	ep := st.Next(v)
+	co, cap_ := Scratch[T](v, "ag.ring", "landing", n, steps)
 	parity := int(ep % 2)
 	region := func(s int) int { return (parity*steps + s) * cap_ }
 	me := v.Img
@@ -42,8 +42,8 @@ func AllgatherRing[T any](v *team.View, mine, out []T, via pgas.Via) {
 		sendB := ((r-s)%sz + sz) % sz
 		recvB := ((r-s-1)%sz + sz) % sz
 		reg := region(s)
-		pgas.PutThenNotify(me, co, next, reg, out[sendB*n:sendB*n+n], st.flags, s, 1, via)
-		me.WaitFlagGE(st.flags, me.Rank(), s, ep)
+		pgas.PutThenNotify(me, co, next, reg, out[sendB*n:sendB*n+n], st.Flags, s, 1, via)
+		me.WaitFlagGE(st.Flags, me.Rank(), s, ep)
 		copy(out[recvB*n:recvB*n+n], pgas.Local(co, me)[reg:reg+n])
 		me.MemWork(es * n)
 	}
@@ -70,12 +70,12 @@ func AllgatherBruck[T any](v *team.View, mine, out []T, via pgas.Via) {
 		return
 	}
 	nr := rounds(sz)
-	st := getState(v, "ag.bruck."+via.String()+"."+tag[T](), nr)
-	ep := st.next(v.Rank)
+	st := GetState(v, "ag.bruck."+via.String()+"."+tag[T](), nr)
+	ep := st.Next(v)
 	// Region k holds up to 2^k blocks; lay rounds out back to back per
 	// parity. Total per parity: (2^nr - 1) block-sized regions... bounded
 	// by 2*sz, so allocate 2*sz regions per parity.
-	co, cap_ := scratch[T](v, "ag.bruck", n, 2*2*sz)
+	co, cap_ := Scratch[T](v, "ag.bruck", "landing", n, 2*sz)
 	parity := int(ep % 2)
 	base := func(k int) int { return (parity*2*sz + (1<<k - 1)) * cap_ }
 	me := v.Img
@@ -97,8 +97,8 @@ func AllgatherBruck[T any](v *team.View, mine, out []T, via pgas.Via) {
 			copy(pack[i*n:(i+1)*n], out[b*n:b*n+n])
 		}
 		me.MemWork(es * len(pack))
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), base(k), pack, st.flags, k, 1, via)
-		me.WaitFlagGE(st.flags, me.Rank(), k, ep)
+		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), base(k), pack, st.Flags, k, 1, via)
+		me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
 		// Unpack what arrived: the sender was (r+2^k) mod sz, its blocks
 		// start at its rank.
 		src := (r + 1<<k) % sz

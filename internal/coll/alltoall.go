@@ -46,9 +46,9 @@ func AlltoallPairwise[T any](v *team.View, send, recv []T, via pgas.Via) {
 	}
 	v.Img.MemWork(es * n)
 	steps := sz - 1
-	st := getState(v, "a2a.pw."+via.String()+"."+tag[T](), steps)
-	ep := st.next(v.Rank)
-	co, cap_ := scratch[T](v, "a2a.pw", n, 2*steps)
+	st := GetState(v, "a2a.pw."+via.String()+"."+tag[T](), steps)
+	ep := st.Next(v)
+	co, cap_ := Scratch[T](v, "a2a.pw", "landing", n, steps)
 	parity := int(ep % 2)
 	region := func(s int) int { return (parity*steps + s) * cap_ }
 	me := v.Img
@@ -57,8 +57,8 @@ func AlltoallPairwise[T any](v *team.View, send, recv []T, via pgas.Via) {
 		dst := (r + s) % sz
 		src := (r - s + sz) % sz
 		reg := region(s - 1)
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), reg, send[dst*n:dst*n+n], st.flags, s-1, 1, via)
-		me.WaitFlagGE(st.flags, me.Rank(), s-1, ep)
+		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), reg, send[dst*n:dst*n+n], st.Flags, s-1, 1, via)
+		me.WaitFlagGE(st.Flags, me.Rank(), s-1, ep)
 		copy(recv[src*n:src*n+n], pgas.Local(co, me)[reg:reg+n])
 		me.MemWork(es * n)
 	}
@@ -105,9 +105,9 @@ func AlltoallBruck[T any](v *team.View, send, recv []T, via pgas.Via) {
 		}
 		total += cnt[k]
 	}
-	st := getState(v, "a2a.bruck."+via.String()+"."+tag[T](), 3*nr)
-	ep := st.next(v.Rank)
-	co, cap_ := scratch[T](v, "a2a.bruck", n, 2*total)
+	st := GetState(v, "a2a.bruck."+via.String()+"."+tag[T](), 3*nr)
+	ep := st.Next(v)
+	co, cap_ := Scratch[T](v, "a2a.bruck", "landing", n, total)
 	parity := int(ep % 2)
 	region := func(k int) int { return (parity*total + off[k]) * cap_ }
 	me := v.Img
@@ -132,12 +132,9 @@ func AlltoallBruck[T any](v *team.View, send, recv []T, via pgas.Via) {
 			}
 		}
 		me.MemWork(es * len(pack))
-		st.slotExpect[v.Rank][ackSlot]++
-		if sends := st.slotExpect[v.Rank][ackSlot]; sends > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), ackSlot, sends-1)
-		}
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), region(k), pack, st.flags, k, 1, via)
-		me.WaitFlagGE(st.flags, me.Rank(), k, ep)
+		st.Gate(v, ackSlot, 1)
+		pgas.PutThenNotify(me, co, v.T.GlobalRank(dst), region(k), pack, st.Flags, k, 1, via)
+		me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
 		local := pgas.Local(co, me)
 		i := 0
 		for j := 1; j < sz; j++ {
@@ -147,7 +144,7 @@ func AlltoallBruck[T any](v *team.View, send, recv []T, via pgas.Via) {
 			}
 		}
 		me.MemWork(es * i * n)
-		me.NotifyAdd(st.flags, v.T.GlobalRank(src), ackSlot, 1, via)
+		me.NotifyAdd(st.Flags, v.T.GlobalRank(src), ackSlot, 1, via)
 	}
 	// Phase 3: final rotation — tmp position j carries the block from
 	// source (r−j).

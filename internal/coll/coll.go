@@ -4,9 +4,10 @@
 // recursive-doubling and ring all-to-all reductions; linear, binomial and
 // scatter-allgather broadcasts; linear and binomial scatters and gathers;
 // pairwise-exchange and Bruck personalized all-to-alls; linear and
-// distance-doubling prefix reductions — plus the plumbing (per-team flag
-// arrays, episode counters, scratch coarrays) shared with the
-// hierarchy-aware algorithms in internal/core.
+// distance-doubling prefix reductions — plus the plumbing every algorithm,
+// flat or hierarchy-aware (internal/core), builds on: State, an algorithm's
+// per-team flags and per-image counters, and Scratch, its role-scoped
+// landing coarrays.
 //
 // Flat algorithms address every peer uniformly through the portable conduit
 // path (pgas.ViaConduit), exactly like a runtime with no knowledge of which
@@ -22,8 +23,8 @@
 package coll
 
 import (
-	"fmt"
 	"math/bits"
+	"strconv"
 
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
@@ -84,82 +85,77 @@ var (
 	Min = MinOp[float64]()
 )
 
-// tag names T for state and scratch keys: a float64 and an int64 collective
-// on the same team must not share flag arrays or landing regions.
+// tag names T for state keys: a float64 and an int64 collective on the same
+// team must not share flag arrays or episode counters.
 func tag[T any]() string { return pgas.TypeName[T]() }
 
-// state is the per-(team, algorithm) collective state: a flag array and
-// per-member episode counters. Each image only writes its own entries.
-type state struct {
-	flags *pgas.Flags
-	ep    []int64
-	// aux tracks, per member, how many notifications the member should
-	// have received on a role-dependent slot. When an image's role varies
-	// between episodes (it is sometimes the broadcast root), the episode
-	// number over-counts; aux counts exactly.
-	aux []int64
-	// ackExpect[p][r] is member r's cumulative expected ack count on the
-	// parity-p ack slot (credit-based flow control for broadcasts; see
-	// SubgroupBcastBinomial).
-	ackExpect [2][]int64
-	// payExpect[p][r] is member r's cumulative expected payload-arrival
-	// count on the parity-p payload slot.
-	payExpect [2][]int64
-	// slotExpect[r][s] is member r's cumulative expected arrival count on
-	// flag slot s, for algorithms whose communication tree varies with
-	// the root (each member counts exactly the arrivals its role in each
-	// episode entitles it to).
-	slotExpect [][]int64
+// State is the sync state of one collective algorithm on one team — the
+// paper's per-team "cocounters" (Algorithm 1) for every algorithm, flat and
+// hierarchy-aware alike. Flags holds the flag slots the images notify each
+// other on. Each member also owns counters: its episode number, and one
+// cumulative count per flag slot of the notifications it expects there.
+// The per-slot counts are the member's slab of a team coarray, created on
+// first touch, so an image that never counts (every image of a barrier, a
+// non-leader in a leaders-only phase) holds none. Counters live in the
+// world registry keyed by (team, image), never by View: two views of one
+// team share them.
+//
+// Counting arrivals exactly, rather than deriving them from the episode
+// number, is what keeps waits right when an image's role varies between
+// episodes (it is sometimes the root). The two counting idioms are Await
+// (receiver side) and Gate (sender side of a credit slot).
+type State struct {
+	Flags *pgas.Flags
+	// ep[r] is member r's episode number. It is kept apart from the
+	// per-slot counts so a slab of slots counts is exactly 8·slots bytes
+	// (one more word would push reduceto's 3·|group|-slot slab into the
+	// next allocation size class).
+	ep     []int64
+	counts *pgas.Coarray[int64]
 }
 
-// getState returns the shared state for one algorithm instance on a team.
-// The per-view memo makes repeat calls (one per episode, per image) free of
-// key formatting and registry traffic; the state itself stays team-shared
-// through the world registry.
-func getState(v *team.View, alg string, slots int) *state {
+// GetState returns the state of algorithm alg on v's team with slots flag
+// slots per image. The per-view memo makes repeat calls (one per episode,
+// per image) free of key formatting and registry traffic.
+func GetState(v *team.View, alg string, slots int) *State {
 	return v.Memo(team.MemoKey{Kind: "coll:state", Alg: alg}, func() interface{} {
-		return newState(v, alg, slots)
-	}).(*state)
+		w := v.Img.World()
+		key := "coll:" + alg + ":team" + strconv.FormatInt(v.T.ID(), 10)
+		return pgas.LookupOrCreate(w, key, func() interface{} {
+			return &State{
+				Flags:  pgas.NewFlags(w, key, slots),
+				ep:     make([]int64, v.T.Size()),
+				counts: pgas.NewTeamCoarray[int64](w, key, slots, v.T.Members()),
+			}
+		})
+	}).(*State)
 }
 
-func newState(v *team.View, alg string, slots int) *state {
-	w := v.Img.World()
-	key := fmt.Sprintf("coll:%s:team%d", alg, v.T.ID())
-	return pgas.LookupOrCreate(w, key, func() interface{} {
-		sz := v.T.Size()
-		cells := make(Counters, (6+slots)*sz)
-		s := &state{
-			flags:      pgas.NewFlags(w, key, slots),
-			ep:         cells.Take(sz),
-			aux:        cells.Take(sz),
-			ackExpect:  [2][]int64{cells.Take(sz), cells.Take(sz)},
-			payExpect:  [2][]int64{cells.Take(sz), cells.Take(sz)},
-			slotExpect: make([][]int64, sz),
-		}
-		for i := range s.slotExpect {
-			s.slotExpect[i] = cells.Take(slots)
-		}
-		return s
-	}).(*state)
+// Next starts the caller's next episode and returns its number (1, 2, ...).
+func (s *State) Next(v *team.View) int64 {
+	s.ep[v.Rank]++
+	return s.ep[v.Rank]
 }
 
-// Counters is a backing array that per-member counter tables are carved
-// from, so a state object costs one allocation for all of its rows rather
-// than one per row.
-type Counters []int64
-
-// Take returns the next n counters, capacity-limited so no row can grow
-// into its neighbour.
-func (c *Counters) Take(n int) []int64 {
-	row := (*c)[:n:n]
-	*c = (*c)[n:]
-	return row
+// Await adds n to the caller's expected arrivals on flag slot slot, then
+// waits until all of them have arrived.
+func (s *State) Await(v *team.View, slot int, n int64) {
+	c := pgas.Local(s.counts, v.Img)
+	c[slot] += n
+	v.Img.WaitFlagGE(s.Flags, v.Img.Rank(), slot, c[slot])
 }
 
-// next increments and returns the caller's episode counter.
-func (s *state) next(rank int) int64 {
-	s.ep[rank]++
-	return s.ep[rank]
+// Gate is the sender side of a credit slot, called before the caller sends
+// n messages whose landing regions are reused every other episode: it waits
+// for the credits of every earlier send on slot (one per consumed send),
+// then counts the n new ones. With n = 1 this is "before my k-th
+// same-parity send, wait for k−1 credits".
+func (s *State) Gate(v *team.View, slot int, n int64) {
+	c := pgas.Local(s.counts, v.Img)
+	if c[slot] > 0 {
+		v.Img.WaitFlagGE(s.Flags, v.Img.Rank(), slot, c[slot])
+	}
+	c[slot] += n
 }
 
 // rounds returns ceil(log2 n): the number of dissemination /
@@ -179,55 +175,37 @@ func floorPow2(n int) int {
 	return 1 << (bits.Len(uint(n)) - 1)
 }
 
-// bucket rounds n up to a power of two for scratch sizing, so repeated calls
-// with varying lengths reuse one allocation per size class.
-func bucket(n int) int {
+// sizeClass rounds n up to a power of two, 16 at least: the scratch region
+// size every layout derives its offsets from, so repeated calls with
+// varying vector lengths reuse one allocation per class.
+func sizeClass(n int) int {
 	if n <= 16 {
 		return 16
 	}
-	if n&(n-1) == 0 {
-		return n
-	}
-	return 1 << bits.Len(uint(n))
+	return 1 << bits.Len(uint(n-1))
 }
 
-// scratch returns a team-wide scratch coarray of T with at least elems
-// elements per region, with regions regions (rounds, parity buffers...),
-// allocated per size class and element type.
-func scratch[T any](v *team.View, alg string, elems, regions int) (*pgas.Coarray[T], int) {
-	cap_ := bucket(elems)
-	x := v.Memo(team.MemoKey{Kind: "coll:scratch", Alg: alg, N: cap_, M: regions}, func() interface{} {
-		return newScratch[T](v, alg, cap_, regions)
+// Scratch returns one role's scratch coarray for algorithm alg on v's team,
+// and its region size cap = sizeClass(elems): regions regions of cap
+// elements per episode parity, parity p's regions starting at
+// p·regions·cap. Each role of a layout (a root's or leader's inbox, a
+// member's result landing...) gets its own coarray and slabs are created on
+// first touch, so an image allocates only the regions its role uses. role
+// is a constant tag naming the role.
+func Scratch[T any](v *team.View, alg, role string, elems, regions int) (*pgas.Coarray[T], int) {
+	cap_ := sizeClass(elems)
+	x := v.Memo(team.MemoKey{Kind: role, Alg: alg, N: cap_, M: regions}, func() interface{} {
+		return newScratch[T](v, alg, role, cap_, regions)
 	})
 	if co, ok := x.(*pgas.Coarray[T]); ok {
 		return co, cap_
 	}
-	// Memo slot taken by another element type for the same (alg, class):
-	// fall through to the registry, which keys on the type as well.
-	return newScratch[T](v, alg, cap_, regions), cap_
+	// Memo slot taken by another element type for the same (alg, role,
+	// class): fall through to the registry, which keys on the type as well.
+	return newScratch[T](v, alg, role, cap_, regions), cap_
 }
 
-func newScratch[T any](v *team.View, alg string, cap_, regions int) *pgas.Coarray[T] {
-	name := fmt.Sprintf("coll:%s:%s:team%d:cap%d", alg, tag[T](), v.T.ID(), cap_)
-	w := v.Img.World()
-	return pgas.NewTeamCoarray[T](w, name, cap_*regions, v.T.Members())
-}
-
-// rootScratch returns a scratch slab allocated only on the team's root image
-// (for linear gathers: the root needs n regions, nobody else needs any).
-func rootScratch[T any](v *team.View, alg string, elems, regions int) (*pgas.Coarray[T], int) {
-	cap_ := bucket(elems)
-	x := v.Memo(team.MemoKey{Kind: "coll:rootscratch", Alg: alg, N: cap_, M: regions}, func() interface{} {
-		return newRootScratch[T](v, alg, cap_, regions)
-	})
-	if co, ok := x.(*pgas.Coarray[T]); ok {
-		return co, cap_
-	}
-	return newRootScratch[T](v, alg, cap_, regions), cap_
-}
-
-func newRootScratch[T any](v *team.View, alg string, cap_, regions int) *pgas.Coarray[T] {
-	name := fmt.Sprintf("coll:%s:%s:team%d:root:cap%d", alg, tag[T](), v.T.ID(), cap_)
-	w := v.Img.World()
-	return pgas.NewTeamCoarray[T](w, name, cap_*regions, []int{v.T.GlobalRank(0)})
+func newScratch[T any](v *team.View, alg, role string, cap_, regions int) *pgas.Coarray[T] {
+	name := role + ":" + alg + ":team" + strconv.FormatInt(v.T.ID(), 10) + ":cap" + strconv.Itoa(cap_)
+	return pgas.NewTeamCoarray[T](v.Img.World(), name, cap_*2*regions, v.T.Members())
 }

@@ -344,11 +344,11 @@ func TestFloorPow2(t *testing.T) {
 	}
 }
 
-func TestBucket(t *testing.T) {
+func TestSizeClass(t *testing.T) {
 	cases := map[int]int{1: 16, 16: 16, 17: 32, 33: 64, 1024: 1024, 1025: 2048}
 	for n, want := range cases {
-		if got := bucket(n); got != want {
-			t.Fatalf("bucket(%d) = %d, want %d", n, got, want)
+		if got := sizeClass(n); got != want {
+			t.Fatalf("sizeClass(%d) = %d, want %d", n, got, want)
 		}
 	}
 }

@@ -33,17 +33,16 @@ func GatherLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
 	if sz == 1 {
 		return
 	}
-	st := getState(v, "ga.lin."+via.String()+"."+tag[T](), 4)
-	ep := st.next(v.Rank)
-	co, cap_ := scratch[T](v, "ga.lin", n, 2*sz)
+	st := GetState(v, "ga.lin."+via.String()+"."+tag[T](), 4)
+	ep := st.Next(v)
+	co, cap_ := Scratch[T](v, "ga.lin", "landing", n, sz)
 	parity := int(ep % 2)
 	arriveSlot := parity
 	creditSlot := 2 + parity
 	me := v.Img
 	if v.Rank == root {
 		// Arrival counts are root-dependent, so count exactly.
-		st.slotExpect[v.Rank][arriveSlot] += int64(sz - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), arriveSlot, st.slotExpect[v.Rank][arriveSlot])
+		st.Await(v, arriveSlot, int64(sz-1))
 		local := pgas.Local(co, me)
 		for r := 0; r < sz; r++ {
 			if r == root {
@@ -52,17 +51,14 @@ func GatherLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
 			off := (parity*sz + r) * cap_
 			copy(recv[r*n:r*n+n], local[off:off+n])
 			me.MemWork(es * n)
-			me.NotifyAdd(st.flags, v.T.GlobalRank(r), creditSlot, 1, via)
+			me.NotifyAdd(st.Flags, v.T.GlobalRank(r), creditSlot, 1, via)
 		}
 		return
 	}
 	// Gate on the credit for my previous same-parity send.
-	st.slotExpect[v.Rank][creditSlot]++
-	if sends := st.slotExpect[v.Rank][creditSlot]; sends > 1 {
-		me.WaitFlagGE(st.flags, me.Rank(), creditSlot, sends-1)
-	}
+	st.Gate(v, creditSlot, 1)
 	off := (parity*sz + v.Rank) * cap_
-	pgas.PutThenNotify(me, co, v.T.GlobalRank(root), off, send, st.flags, arriveSlot, 1, via)
+	pgas.PutThenNotify(me, co, v.T.GlobalRank(root), off, send, st.Flags, arriveSlot, 1, via)
 }
 
 // GatherBinomial collects the per-member blocks up the "low bits free"
@@ -96,11 +92,11 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via)
 	if sz == 1 {
 		return
 	}
-	st := getState(v, "ga.binom."+via.String()+"."+tag[T](), 3*sz)
-	ep := st.next(v.Rank)
+	st := GetState(v, "ga.binom."+via.String()+"."+tag[T](), 3*sz)
+	ep := st.Next(v)
 	// Landing area: my whole relative subtree packed n-contiguous, per
 	// parity; children write disjoint slices of it.
-	co, cap_ := scratch[T](v, "ga.binom", sz*n, 2)
+	co, cap_ := Scratch[T](v, "ga.binom", "landing", sz*n, 1)
 	parity := int(ep % 2)
 	base := parity * cap_
 	me := v.Img
@@ -121,14 +117,13 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via)
 	for k := rounds(sz) - 1; k >= 0; k-- {
 		if rel%(1<<(k+1)) == 0 && rel+1<<k < sz {
 			childAbs := (rel + 1<<k + root) % sz
-			st.slotExpect[v.Rank][childAbs]++
-			me.WaitFlagGE(st.flags, me.Rank(), childAbs, st.slotExpect[v.Rank][childAbs])
+			st.Await(v, childAbs, 1)
 		}
 	}
 	creditKids := func() {
 		for k := rounds(sz) - 1; k >= 0; k-- {
 			if rel%(1<<(k+1)) == 0 && rel+1<<k < sz {
-				me.NotifyAdd(st.flags, global(rel+1<<k), sz+2*v.Rank+parity, 1, via)
+				me.NotifyAdd(st.Flags, global(rel+1<<k), sz+2*v.Rank+parity, 1, via)
 			}
 		}
 	}
@@ -145,11 +140,8 @@ func GatherBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via)
 	parentRel := rel - (rel & -rel)
 	parentAbs := (parentRel + root) % sz
 	creditSlot := sz + 2*parentAbs + parity
-	st.slotExpect[v.Rank][creditSlot]++
-	if sends := st.slotExpect[v.Rank][creditSlot]; sends > 1 {
-		me.WaitFlagGE(st.flags, me.Rank(), creditSlot, sends-1)
-	}
+	st.Gate(v, creditSlot, 1)
 	pgas.PutThenNotify(me, co, global(parentRel), base+(rel-parentRel)*n,
-		local[base:base+span*n], st.flags, v.Rank, 1, via)
+		local[base:base+span*n], st.Flags, v.Rank, 1, via)
 	creditKids()
 }

@@ -28,10 +28,10 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 	n := len(buf)
 	es := pgas.ElemSize[T]()
 	nr := rounds(floorPow2(g))
-	st := getState(v, alg+".rd."+op.Name+"."+tag[T](), nr+2)
-	ep := st.next(v.Rank)
+	st := GetState(v, alg+".rd."+op.Name+"."+tag[T](), nr+2)
+	ep := st.Next(v)
 	regions := nr + 2 // rd rounds, extra-contribution, result
-	co, cap_ := scratch[T](v, alg+".rd."+op.Name, n, 2*regions)
+	co, cap_ := Scratch[T](v, alg+".rd."+op.Name, "landing", n, regions)
 	parity := int(ep % 2)
 	region := func(k int) int { return (parity*regions + k) * cap_ }
 	me := v.Img
@@ -44,26 +44,26 @@ func SubgroupAllreduceRD[T any](v *team.View, group []int, myIdx int, buf []T, o
 	if myIdx >= p2 {
 		// Fold in: ship to the core partner, then wait for the result.
 		partner := myIdx - p2
-		pgas.PutThenNotify(me, co, global(partner), region(slotExtra), buf, st.flags, slotExtra, 1, via)
-		me.WaitFlagGE(st.flags, me.Rank(), slotResult, ep)
+		pgas.PutThenNotify(me, co, global(partner), region(slotExtra), buf, st.Flags, slotExtra, 1, via)
+		me.WaitFlagGE(st.Flags, me.Rank(), slotResult, ep)
 		copy(buf, pgas.Local(co, me)[region(slotResult):region(slotResult)+n])
 		me.MemWork(es * n)
 		return
 	}
 	if myIdx < extras {
-		me.WaitFlagGE(st.flags, me.Rank(), slotExtra, ep)
+		me.WaitFlagGE(st.Flags, me.Rank(), slotExtra, ep)
 		op.Combine(buf, pgas.Local(co, me)[region(slotExtra):region(slotExtra)+n])
 		me.MemWork(2 * es * n)
 	}
 	for k := 0; 1<<k < p2; k++ {
 		partner := myIdx ^ 1<<k
-		pgas.PutThenNotify(me, co, global(partner), region(k), buf, st.flags, k, 1, via)
-		me.WaitFlagGE(st.flags, me.Rank(), k, ep)
+		pgas.PutThenNotify(me, co, global(partner), region(k), buf, st.Flags, k, 1, via)
+		me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
 		op.Combine(buf, pgas.Local(co, me)[region(k):region(k)+n])
 		me.MemWork(2 * es * n)
 	}
 	if myIdx < extras {
-		pgas.PutThenNotify(me, co, global(myIdx+p2), region(slotResult), buf, st.flags, slotResult, 1, via)
+		pgas.PutThenNotify(me, co, global(myIdx+p2), region(slotResult), buf, st.Flags, slotResult, 1, via)
 	}
 }
 
@@ -86,17 +86,18 @@ func AllreduceLinear[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	if sz == 1 {
 		return
 	}
-	st := getState(v, "red.lin."+op.Name+"."+via.String()+"."+tag[T](), 2)
-	ep := st.next(v.Rank)
-	// Root inbox: one region per member per parity. Result inbox: one
-	// region per member (symmetric).
-	inbox, icap := rootScratch[T](v, "red.lin."+op.Name, n, 2*sz)
-	res, rcap := scratch[T](v, "red.lin.res."+op.Name, n, 2)
+	st := GetState(v, "red.lin."+op.Name+"."+via.String()+"."+tag[T](), 2)
+	ep := st.Next(v)
+	// The root's inbox holds one region per member per parity; every
+	// member's result landing holds one region per parity. Only the root
+	// ever touches its inbox slab.
+	inbox, icap := Scratch[T](v, "red.lin."+op.Name, "inbox", n, sz)
+	res, rcap := Scratch[T](v, "red.lin."+op.Name, "result", n, 1)
 	parity := int(ep % 2)
 	root := v.T.GlobalRank(0)
 	me := v.Img
 	if v.Rank == 0 {
-		me.WaitFlagGE(st.flags, root, 0, ep*int64(sz-1))
+		me.WaitFlagGE(st.Flags, root, 0, ep*int64(sz-1))
 		local := pgas.Local(inbox, me)
 		for r := 1; r < sz; r++ {
 			off := (parity*sz + r) * icap
@@ -104,13 +105,13 @@ func AllreduceLinear[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 			me.MemWork(2 * es * n)
 		}
 		for r := 1; r < sz; r++ {
-			pgas.PutThenNotify(me, res, v.T.GlobalRank(r), parity*rcap, buf, st.flags, 1, 1, via)
+			pgas.PutThenNotify(me, res, v.T.GlobalRank(r), parity*rcap, buf, st.Flags, 1, 1, via)
 		}
 		return
 	}
 	off := (parity*sz + v.Rank) * icap
-	pgas.PutThenNotify(me, inbox, root, off, buf, st.flags, 0, 1, via)
-	me.WaitFlagGE(st.flags, me.Rank(), 1, ep)
+	pgas.PutThenNotify(me, inbox, root, off, buf, st.Flags, 0, 1, via)
+	me.WaitFlagGE(st.Flags, me.Rank(), 1, ep)
 	copy(buf, pgas.Local(res, me)[parity*rcap:parity*rcap+n])
 	me.MemWork(es * n)
 }
@@ -127,10 +128,10 @@ func AllreduceTree[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 		return
 	}
 	nr := rounds(sz)
-	st := getState(v, "red.tree."+op.Name+"."+via.String()+"."+tag[T](), nr+1)
-	ep := st.next(v.Rank)
+	st := GetState(v, "red.tree."+op.Name+"."+via.String()+"."+tag[T](), nr+1)
+	ep := st.Next(v)
 	regions := nr + 1
-	co, cap_ := scratch[T](v, "red.tree."+op.Name, n, 2*regions)
+	co, cap_ := Scratch[T](v, "red.tree."+op.Name, "landing", n, regions)
 	parity := int(ep % 2)
 	region := func(k int) int { return (parity*regions + k) * cap_ }
 	me := v.Img
@@ -138,7 +139,7 @@ func AllreduceTree[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 	kids := binomialChildren(r, sz)
 	// Gather: children arrive on per-level slots, deepest first.
 	for i := len(kids) - 1; i >= 0; i-- {
-		me.WaitFlagGE(st.flags, me.Rank(), i, ep)
+		me.WaitFlagGE(st.Flags, me.Rank(), i, ep)
 		op.Combine(buf, pgas.Local(co, me)[region(i):region(i)+n])
 		me.MemWork(2 * es * n)
 	}
@@ -146,13 +147,13 @@ func AllreduceTree[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 		parent := r - (r & -r)
 		// My slot at the parent is my position among its children.
 		slot := childSlot(parent, r)
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(parent), region(slot), buf, st.flags, slot, 1, via)
-		me.WaitFlagGE(st.flags, me.Rank(), nr, ep)
+		pgas.PutThenNotify(me, co, v.T.GlobalRank(parent), region(slot), buf, st.Flags, slot, 1, via)
+		me.WaitFlagGE(st.Flags, me.Rank(), nr, ep)
 		copy(buf, pgas.Local(co, me)[region(nr):region(nr)+n])
 		me.MemWork(es * n)
 	}
 	for _, c := range kids {
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(c), region(nr), buf, st.flags, nr, 1, via)
+		pgas.PutThenNotify(me, co, v.T.GlobalRank(c), region(nr), buf, st.Flags, nr, 1, via)
 	}
 }
 
@@ -184,12 +185,12 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 		return
 	}
 	steps := 2 * (sz - 1)
-	st := getState(v, "red.ring."+op.Name+"."+via.String()+"."+tag[T](), steps)
-	ep := st.next(v.Rank)
+	st := GetState(v, "red.ring."+op.Name+"."+via.String()+"."+tag[T](), steps)
+	ep := st.Next(v)
 	chunk := (n + sz - 1) / sz
 	// One inbox region per step per episode parity: ring skew can reach
 	// sz−1 steps, so regions cannot be shared between nearby steps.
-	co, cap_ := scratch[T](v, "red.ring."+op.Name, chunk, 2*steps)
+	co, cap_ := Scratch[T](v, "red.ring."+op.Name, "landing", chunk, steps)
 	parity := int(ep % 2)
 	region := func(step int) int { return (parity*steps + step) * cap_ }
 	me := v.Img
@@ -213,8 +214,8 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 		recvC := ((r-s-1)%sz + sz) % sz
 		lo, hi := bounds(sendC)
 		reg := region(s)
-		pgas.PutThenNotify(me, co, next, reg, buf[lo:hi], st.flags, s, 1, via)
-		me.WaitFlagGE(st.flags, me.Rank(), s, ep)
+		pgas.PutThenNotify(me, co, next, reg, buf[lo:hi], st.Flags, s, 1, via)
+		me.WaitFlagGE(st.Flags, me.Rank(), s, ep)
 		rlo, rhi := bounds(recvC)
 		op.Combine(buf[rlo:rhi], pgas.Local(co, me)[reg:reg+(rhi-rlo)])
 		me.MemWork(2 * es * (rhi - rlo))
@@ -225,8 +226,8 @@ func AllreduceRing[T any](v *team.View, buf []T, op Op[T], via pgas.Via) {
 		recvC := ((r-s)%sz + sz) % sz
 		lo, hi := bounds(sendC)
 		reg := region(sz - 1 + s)
-		pgas.PutThenNotify(me, co, next, reg, buf[lo:hi], st.flags, sz-1+s, 1, via)
-		me.WaitFlagGE(st.flags, me.Rank(), sz-1+s, ep)
+		pgas.PutThenNotify(me, co, next, reg, buf[lo:hi], st.Flags, sz-1+s, 1, via)
+		me.WaitFlagGE(st.Flags, me.Rank(), sz-1+s, ep)
 		rlo, rhi := bounds(recvC)
 		copy(buf[rlo:rhi], pgas.Local(co, me)[reg:reg+(rhi-rlo)])
 		me.MemWork(es * (rhi - rlo))

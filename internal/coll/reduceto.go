@@ -32,9 +32,9 @@ func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, 
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	st := getState(v, alg+".redto."+tag[T](), 3*g)
-	ep := st.next(v.Rank)
-	co, cap_ := scratch[T](v, alg+".redto", n, 2*g)
+	st := GetState(v, alg+".redto."+tag[T](), 3*g)
+	ep := st.Next(v)
+	co, cap_ := Scratch[T](v, alg+".redto", "landing", n, g)
 	parity := int(ep % 2)
 	region := func(senderIdx int) int { return (parity*g + senderIdx) * cap_ }
 	me := v.Img
@@ -47,13 +47,12 @@ func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, 
 	kids := binomialChildren(rel, g)
 	for i := len(kids) - 1; i >= 0; i-- {
 		kidIdx := (kids[i] + rootIdx) % g
-		st.slotExpect[v.Rank][kidIdx]++
-		me.WaitFlagGE(st.flags, me.Rank(), kidIdx, st.slotExpect[v.Rank][kidIdx])
+		st.Await(v, kidIdx, 1)
 		off := region(kidIdx)
 		op.Combine(buf, pgas.Local(co, me)[off:off+n])
 		me.MemWork(2 * es * n)
 		// Credit the child: its parity-e landing region here is free.
-		me.NotifyAdd(st.flags, globalOf(kidIdx), g+2*myIdx+parity, 1, via)
+		me.NotifyAdd(st.Flags, globalOf(kidIdx), g+2*myIdx+parity, 1, via)
 	}
 	if rel == 0 {
 		return
@@ -61,11 +60,8 @@ func SubgroupReduceToRoot[T any](v *team.View, group []int, myIdx, rootIdx int, 
 	// Gate on the credit for my previous same-parity send to this parent.
 	parentIdx := (rel - (rel & -rel) + rootIdx) % g
 	creditSlot := g + 2*parentIdx + parity
-	st.slotExpect[v.Rank][creditSlot]++
-	if sends := st.slotExpect[v.Rank][creditSlot]; sends > 1 {
-		me.WaitFlagGE(st.flags, me.Rank(), creditSlot, sends-1)
-	}
-	pgas.PutThenNotify(me, co, globalOf(parentIdx), region(myIdx), buf, st.flags, myIdx, 1, via)
+	st.Gate(v, creditSlot, 1)
+	pgas.PutThenNotify(me, co, globalOf(parentIdx), region(myIdx), buf, st.Flags, myIdx, 1, via)
 }
 
 // ReduceToRoot is the flat binomial reduce-to-one over the whole team;
@@ -90,18 +86,17 @@ func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T], via pg
 	}
 	n := len(buf)
 	es := pgas.ElemSize[T]()
-	st := getState(v, "redto.lin."+op.Name+"."+via.String()+"."+tag[T](), 4)
-	ep := st.next(v.Rank)
-	co, cap_ := scratch[T](v, "redto.lin."+op.Name, n, 2*sz)
+	st := GetState(v, "redto.lin."+op.Name+"."+via.String()+"."+tag[T](), 4)
+	ep := st.Next(v)
+	co, cap_ := Scratch[T](v, "redto.lin."+op.Name, "landing", n, sz)
 	parity := int(ep % 2)
 	arriveSlot := parity
 	creditSlot := 2 + parity
 	me := v.Img
 	if v.Rank == root {
-		// slotExpect[root][arriveSlot] counts cumulative same-parity
-		// arrivals; the tree shape is root-dependent, so count exactly.
-		st.slotExpect[v.Rank][arriveSlot] += int64(sz - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), arriveSlot, st.slotExpect[v.Rank][arriveSlot])
+		// The root changes between episodes, so count same-parity
+		// arrivals exactly.
+		st.Await(v, arriveSlot, int64(sz-1))
 		local := pgas.Local(co, me)
 		for r := 0; r < sz; r++ {
 			if r == root {
@@ -110,15 +105,12 @@ func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T], via pg
 			off := (parity*sz + r) * cap_
 			op.Combine(buf, local[off:off+n])
 			me.MemWork(2 * es * n)
-			me.NotifyAdd(st.flags, v.T.GlobalRank(r), creditSlot, 1, via)
+			me.NotifyAdd(st.Flags, v.T.GlobalRank(r), creditSlot, 1, via)
 		}
 		return
 	}
 	// Gate on the credit for my previous same-parity send.
-	st.slotExpect[v.Rank][creditSlot]++
-	if sends := st.slotExpect[v.Rank][creditSlot]; sends > 1 {
-		me.WaitFlagGE(st.flags, me.Rank(), creditSlot, sends-1)
-	}
+	st.Gate(v, creditSlot, 1)
 	off := (parity*sz + v.Rank) * cap_
-	pgas.PutThenNotify(me, co, v.T.GlobalRank(root), off, buf, st.flags, arriveSlot, 1, via)
+	pgas.PutThenNotify(me, co, v.T.GlobalRank(root), off, buf, st.Flags, arriveSlot, 1, via)
 }

@@ -38,9 +38,9 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas
 		return
 	}
 	alg := "scan.lin." + op.Name + "." + scanTag(exclusive) + "." + via.String() + "." + tag[T]()
-	st := getState(v, alg, 4)
-	ep := st.next(v.Rank)
-	co, cap_ := scratch[T](v, "scan.lin."+op.Name+"."+scanTag(exclusive), n, 2)
+	st := GetState(v, alg, 4)
+	ep := st.Next(v)
+	co, cap_ := Scratch[T](v, "scan.lin."+op.Name+"."+scanTag(exclusive), "landing", n, 1)
 	parity := int(ep % 2)
 	reg := parity * cap_
 	creditSlot := 2 + parity
@@ -50,7 +50,7 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas
 	if r == 0 {
 		fwd = buf
 	} else {
-		me.WaitFlagGE(st.flags, me.Rank(), 0, ep)
+		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep)
 		in := pgas.Local(co, me)[reg : reg+n] // prefix over [0, r)
 		if exclusive {
 			if r < sz-1 {
@@ -69,14 +69,11 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas
 	}
 	if r < sz-1 {
 		// Gate on the credit for my previous same-parity send.
-		st.slotExpect[v.Rank][creditSlot]++
-		if sends := st.slotExpect[v.Rank][creditSlot]; sends > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), creditSlot, sends-1)
-		}
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1), reg, fwd, st.flags, 0, 1, via)
+		st.Gate(v, creditSlot, 1)
+		pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1), reg, fwd, st.Flags, 0, 1, via)
 	}
 	if r > 0 {
-		me.NotifyAdd(st.flags, v.T.GlobalRank(r-1), creditSlot, 1, via)
+		me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1), creditSlot, 1, via)
 	}
 }
 
@@ -105,10 +102,10 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas.Via
 	}
 	nr := rounds(sz)
 	alg := "scan.rd." + op.Name + "." + scanTag(exclusive) + "." + via.String() + "." + tag[T]()
-	st := getState(v, alg, 3*nr+3)
-	ep := st.next(v.Rank)
+	st := GetState(v, alg, 3*nr+3)
+	ep := st.Next(v)
 	regions := nr + 1 // one per round plus the shift
-	co, cap_ := scratch[T](v, "scan.rd."+op.Name+"."+scanTag(exclusive), n, 2*regions)
+	co, cap_ := Scratch[T](v, "scan.rd."+op.Name+"."+scanTag(exclusive), "landing", n, regions)
 	parity := int(ep % 2)
 	region := func(k int) int { return (parity*regions + k) * cap_ }
 	me := v.Img
@@ -119,17 +116,14 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas.Via
 	for k := 0; 1<<k < sz; k++ {
 		ackSlot := nr + 2*k + parity
 		if r+1<<k < sz {
-			st.slotExpect[v.Rank][ackSlot]++
-			if sends := st.slotExpect[v.Rank][ackSlot]; sends > 1 {
-				me.WaitFlagGE(st.flags, me.Rank(), ackSlot, sends-1)
-			}
-			pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1<<k), region(k), acc, st.flags, k, 1, via)
+			st.Gate(v, ackSlot, 1)
+			pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1<<k), region(k), acc, st.Flags, k, 1, via)
 		}
 		if r-1<<k >= 0 {
-			me.WaitFlagGE(st.flags, me.Rank(), k, ep)
+			me.WaitFlagGE(st.Flags, me.Rank(), k, ep)
 			op.Combine(acc, pgas.Local(co, me)[region(k):region(k)+n])
 			me.MemWork(2 * es * n)
-			me.NotifyAdd(st.flags, v.T.GlobalRank(r-1<<k), ackSlot, 1, via)
+			me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1<<k), ackSlot, 1, via)
 		}
 	}
 	if !exclusive {
@@ -141,16 +135,13 @@ func ScanRD[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas.Via
 	shiftSlot := 3 * nr
 	shiftAck := 3*nr + 1 + parity
 	if r+1 < sz {
-		st.slotExpect[v.Rank][shiftAck]++
-		if sends := st.slotExpect[v.Rank][shiftAck]; sends > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), shiftAck, sends-1)
-		}
-		pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1), region(nr), acc, st.flags, shiftSlot, 1, via)
+		st.Gate(v, shiftAck, 1)
+		pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1), region(nr), acc, st.Flags, shiftSlot, 1, via)
 	}
 	if r > 0 {
-		me.WaitFlagGE(st.flags, me.Rank(), shiftSlot, ep)
+		me.WaitFlagGE(st.Flags, me.Rank(), shiftSlot, ep)
 		copy(buf, pgas.Local(co, me)[region(nr):region(nr)+n])
 		me.MemWork(es * n)
-		me.NotifyAdd(st.flags, v.T.GlobalRank(r-1), shiftAck, 1, via)
+		me.NotifyAdd(st.Flags, v.T.GlobalRank(r-1), shiftAck, 1, via)
 	}
 }

@@ -36,37 +36,35 @@ func ScatterLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) 
 	if sz == 1 {
 		return
 	}
-	st := getState(v, "sc.lin."+via.String()+"."+tag[T](), 5)
-	ep := st.next(v.Rank)
-	co, cap_ := scratch[T](v, "sc.lin", n, 2)
+	st := GetState(v, "sc.lin."+via.String()+"."+tag[T](), 5)
+	ep := st.Next(v)
+	co, cap_ := Scratch[T](v, "sc.lin", "landing", n, 1)
 	parity := int(ep % 2)
 	reg := parity * cap_
 	paySlot := parity
 	ackSlot := 2 + parity
 	me := v.Img
 	if v.Rank == root {
-		me.WaitFlagGE(st.flags, me.Rank(), 4, ep-2)
+		me.WaitFlagGE(st.Flags, me.Rank(), 4, ep-2)
 		for r := 0; r < sz; r++ {
 			if r == root {
 				continue
 			}
-			pgas.PutThenNotify(me, co, v.T.GlobalRank(r), reg, send[r*n:r*n+n], st.flags, paySlot, 1, via)
+			pgas.PutThenNotify(me, co, v.T.GlobalRank(r), reg, send[r*n:r*n+n], st.Flags, paySlot, 1, via)
 		}
-		st.ackExpect[parity][v.Rank] += int64(sz - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), ackSlot, st.ackExpect[parity][v.Rank])
-		me.SetLocal(st.flags, 4, ep)
+		st.Await(v, ackSlot, int64(sz-1))
+		me.SetLocal(st.Flags, 4, ep)
 		for r := 0; r < sz; r++ {
 			if r != root {
-				me.NotifySet(st.flags, v.T.GlobalRank(r), 4, ep, via)
+				me.NotifySet(st.Flags, v.T.GlobalRank(r), 4, ep, via)
 			}
 		}
 		return
 	}
-	st.payExpect[parity][v.Rank]++
-	me.WaitFlagGE(st.flags, me.Rank(), paySlot, st.payExpect[parity][v.Rank])
+	st.Await(v, paySlot, 1)
 	copy(recv, pgas.Local(co, me)[reg:reg+n])
 	me.MemWork(es * n)
-	me.NotifyAdd(st.flags, v.T.GlobalRank(root), ackSlot, 1, via)
+	me.NotifyAdd(st.Flags, v.T.GlobalRank(root), ackSlot, 1, via)
 }
 
 // ScatterBinomial distributes per-member blocks along the binomial scatter
@@ -94,11 +92,11 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 	if sz == 1 {
 		return
 	}
-	st := getState(v, "sc.binom."+via.String()+"."+tag[T](), 5)
-	ep := st.next(v.Rank)
+	st := GetState(v, "sc.binom."+via.String()+"."+tag[T](), 5)
+	ep := st.Next(v)
 	// Landing region: the caller's whole relative subtree, packed
 	// n-contiguous in relative-rank order, per parity.
-	co, cap_ := scratch[T](v, "sc.binom", sz*n, 2)
+	co, cap_ := Scratch[T](v, "sc.binom", "landing", sz*n, 1)
 	parity := int(ep % 2)
 	base := parity * cap_
 	paySlot := parity
@@ -110,7 +108,7 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 	// tree holds the packed blocks for relative ranks [rel, rel+span).
 	var tree []T
 	if rel == 0 {
-		me.WaitFlagGE(st.flags, me.Rank(), 4, ep-2)
+		me.WaitFlagGE(st.Flags, me.Rank(), 4, ep-2)
 		tree = make([]T, sz*n)
 		for q := 0; q < sz; q++ {
 			b := (q + root) % sz
@@ -118,8 +116,7 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 		}
 		me.MemWork(es * sz * n)
 	} else {
-		st.payExpect[parity][v.Rank]++
-		me.WaitFlagGE(st.flags, me.Rank(), paySlot, st.payExpect[parity][v.Rank])
+		st.Await(v, paySlot, 1)
 		span := rel & -rel // subtree size in the low-bits-free tree
 		if rel+span > sz {
 			span = sz - rel
@@ -137,21 +134,20 @@ func ScatterBinomial[T any](v *team.View, root int, send, recv []T, via pgas.Via
 			if last > sz {
 				last = sz
 			}
-			pgas.PutThenNotify(me, co, global(child), base, tree[(child-rel)*n:(last-rel)*n], st.flags, paySlot, 1, via)
+			pgas.PutThenNotify(me, co, global(child), base, tree[(child-rel)*n:(last-rel)*n], st.Flags, paySlot, 1, via)
 			nkids++
 		}
 	}
-	st.ackExpect[parity][v.Rank] += int64(nkids)
 	if nkids > 0 {
-		me.WaitFlagGE(st.flags, me.Rank(), ackSlot, st.ackExpect[parity][v.Rank])
+		st.Await(v, ackSlot, int64(nkids))
 	}
 	if rel != 0 {
 		parent := rel - (rel & -rel)
-		me.NotifyAdd(st.flags, global(parent), ackSlot, 1, via)
+		me.NotifyAdd(st.Flags, global(parent), ackSlot, 1, via)
 		return
 	}
-	me.SetLocal(st.flags, 4, ep)
+	me.SetLocal(st.Flags, 4, ep)
 	for q := 1; q < sz; q++ {
-		me.NotifySet(st.flags, global(q), 4, ep, via)
+		me.NotifySet(st.Flags, global(q), 4, ep, via)
 	}
 }

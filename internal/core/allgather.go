@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
 	"cafteams/internal/trace"
@@ -32,16 +33,15 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 	alg := "ag2." + pgas.TypeName[T]()
 	nLeaders := len(t.Leaders())
 	steps := nLeaders - 1
-	st := getTDLBState(v, alg, steps)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	st := coll.GetState(v, alg, 2+steps)
+	ep := st.Next(v)
 	parity := int(ep % 2)
 
 	// Scratch: the full gathered vector per parity (landing area for the
 	// fan-out and the leaders' ring blocks, addressed by team rank), and,
 	// at leaders only, per-ring-step regions sized to the largest node
 	// block.
-	vec, cap_ := hierScratch[T](v, alg, "core:vector", n, sz)
+	vec, cap_ := coll.Scratch[T](v, alg, "vector", n, sz)
 	full := cap_ * sz
 	base := parity * full
 	me := v.Img
@@ -51,8 +51,8 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 
 	if v.Rank != leader {
 		// Contribute to the leader's assembled area at my rank's slot.
-		pgas.PutThenNotify(me, vec, t.GlobalRank(leader), base+v.Rank*cap_, mine, st.flags, 0, 1, pgas.ViaShm)
-		me.WaitFlagGE(st.flags, me.Rank(), 1, ep)
+		pgas.PutThenNotify(me, vec, t.GlobalRank(leader), base+v.Rank*cap_, mine, st.Flags, 0, 1, pgas.ViaShm)
+		me.WaitFlagGE(st.Flags, me.Rank(), 1, ep)
 		local := pgas.Local(vec, me)
 		for r := 0; r < sz; r++ {
 			copy(out[r*n:r*n+n], local[base+r*cap_:base+r*cap_+n])
@@ -64,7 +64,7 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 	local := pgas.Local(vec, me)
 	copy(local[base+v.Rank*cap_:base+v.Rank*cap_+n], mine)
 	if len(group) > 1 {
-		me.WaitFlagGE(st.flags, me.Rank(), 0, ep*int64(len(group)-1))
+		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep*int64(len(group)-1))
 	}
 	// Ring allgather of node blocks among leaders. Each step forwards one
 	// whole node block (packed rank-slot layout).
@@ -72,7 +72,7 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 	myPos := t.LeaderPos(v.Rank)
 	if steps > 0 {
 		stepRegion := cap_ * t.MaxNodeGroup()
-		ring, _ := hierScratch[T](v, alg, "core:ring", n, steps*t.MaxNodeGroup())
+		ring, _ := coll.Scratch[T](v, alg, "ring", n, steps*t.MaxNodeGroup())
 		landing := pgas.Local(ring, me)
 		nextPos := (myPos + 1) % nLeaders
 		next := t.GlobalRank(leaders[nextPos])
@@ -87,8 +87,8 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 				copy(pack[i*n:], local[base+r*cap_:base+r*cap_+n])
 			}
 			me.MemWork(es * len(pack))
-			pgas.PutThenNotify(me, ring, next, reg, pack, st.flags, 2+s, 1, pgas.ViaConduit)
-			me.WaitFlagGE(st.flags, me.Rank(), 2+s, ep)
+			pgas.PutThenNotify(me, ring, next, reg, pack, st.Flags, 2+s, 1, pgas.ViaConduit)
+			me.WaitFlagGE(st.Flags, me.Rank(), 2+s, ep)
 			recvGroup := t.NodeGroup(recvPos)
 			for i, r := range recvGroup {
 				copy(local[base+r*cap_:base+r*cap_+n], landing[reg+i*n:reg+i*n+n])
@@ -101,7 +101,7 @@ func AllgatherTwoLevel[T any](v *team.View, mine, out []T) {
 		if r == v.Rank {
 			continue
 		}
-		pgas.PutThenNotify(me, vec, t.GlobalRank(r), base, local[base:base+full], st.flags, 1, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, vec, t.GlobalRank(r), base, local[base:base+full], st.Flags, 1, 1, pgas.ViaShm)
 	}
 	for r := 0; r < sz; r++ {
 		copy(out[r*n:r*n+n], local[base+r*cap_:base+r*cap_+n])

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
 	"cafteams/internal/trace"
@@ -52,9 +53,8 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 		return
 	}
 	alg := "a2a2." + pgas.TypeName[T]()
-	st := getHierState(v, alg, a2aSlots)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	st := coll.GetState(v, alg, a2aSlots)
+	ep := st.Next(v)
 	parity := int(ep % 2)
 	mg := t.MaxNodeGroup()
 	leaders := t.Leaders()
@@ -63,8 +63,8 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 	// send vector per group position) followed by one node-pair pack
 	// landing area per source group, and, in a coarray of its own, the
 	// member's outbox (one full recv vector).
-	lead, cap_ := hierScratch[T](v, alg, "core:inbox", n, mg*sz+ng*mg*mg)
-	outbox, _ := hierScratch[T](v, alg, "core:result", n, sz)
+	lead, cap_ := coll.Scratch[T](v, alg, "inbox", n, mg*sz+ng*mg*mg)
+	outbox, _ := coll.Scratch[T](v, alg, "result", n, sz)
 	base := parity * (mg*sz + ng*mg*mg) * cap_
 	inboxAt := func(pos int) int { return base + pos*sz*cap_ }
 	landAt := func(gi int) int { return base + mg*sz*cap_ + gi*mg*mg*cap_ }
@@ -79,24 +79,19 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 		// Ship my send vector to the leader's inbox, gated on the credit
 		// for my previous same-parity shipment; then collect my assembled
 		// receive vector and ack it.
-		st.slotExpect[v.Rank][a2aInboxCredit+parity]++
-		if sends := st.slotExpect[v.Rank][a2aInboxCredit+parity]; sends > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), a2aInboxCredit+parity, sends-1)
-		}
+		st.Gate(v, a2aInboxCredit+parity, 1)
 		pos := groupPos(group, v.Rank)
-		pgas.PutThenNotify(me, lead, t.GlobalRank(leader), inboxAt(pos), send[:sz*n], st.flags, a2aInboxSlot+parity, 1, pgas.ViaShm)
-		st.slotExpect[v.Rank][a2aOutboxSlot+parity]++
-		me.WaitFlagGE(st.flags, me.Rank(), a2aOutboxSlot+parity, st.slotExpect[v.Rank][a2aOutboxSlot+parity])
+		pgas.PutThenNotify(me, lead, t.GlobalRank(leader), inboxAt(pos), send[:sz*n], st.Flags, a2aInboxSlot+parity, 1, pgas.ViaShm)
+		st.Await(v, a2aOutboxSlot+parity, 1)
 		copy(recv, pgas.Local(outbox, me)[outboxOff:outboxOff+sz*n])
 		me.MemWork(es * sz * n)
-		me.NotifyAdd(st.flags, t.GlobalRank(leader), a2aOutboxAck+parity, 1, pgas.ViaShm)
+		me.NotifyAdd(st.Flags, t.GlobalRank(leader), a2aOutboxAck+parity, 1, pgas.ViaShm)
 		return
 	}
 
 	// Leader: collect the intranode set's send vectors.
 	if gsz > 1 {
-		st.slotExpect[v.Rank][a2aInboxSlot+parity] += int64(gsz - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), a2aInboxSlot+parity, st.slotExpect[v.Rank][a2aInboxSlot+parity])
+		st.Await(v, a2aInboxSlot+parity, int64(gsz-1))
 	}
 	local := pgas.Local(lead, me)
 	// vec(i) is group position i's full send vector.
@@ -111,10 +106,7 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 	// h's members (group order). Gate this episode's packs on the credits
 	// for every previous same-parity pack.
 	if ng > 1 {
-		if prev := st.slotExpect[v.Rank][a2aPackCredit+parity]; prev > 0 {
-			me.WaitFlagGE(st.flags, me.Rank(), a2aPackCredit+parity, prev)
-		}
-		st.slotExpect[v.Rank][a2aPackCredit+parity] += int64(ng - 1)
+		st.Gate(v, a2aPackCredit+parity, int64(ng-1))
 		for hi, lh := range leaders {
 			if hi == gi {
 				continue
@@ -128,18 +120,14 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 				}
 			}
 			me.MemWork(es * len(pack))
-			pgas.PutThenNotify(me, lead, t.GlobalRank(lh), landAt(gi), pack, st.flags, a2aPackSlot+parity, 1, pgas.ViaAuto)
+			pgas.PutThenNotify(me, lead, t.GlobalRank(lh), landAt(gi), pack, st.Flags, a2aPackSlot+parity, 1, pgas.ViaAuto)
 		}
-		st.slotExpect[v.Rank][a2aPackSlot+parity] += int64(ng - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), a2aPackSlot+parity, st.slotExpect[v.Rank][a2aPackSlot+parity])
+		st.Await(v, a2aPackSlot+parity, int64(ng-1))
 	}
 	// Assemble every member's receive vector, gated on the acks for the
 	// previous same-parity fan-out.
-	if gate := st.ackExpect[parity][v.Rank]; gate > 0 {
-		me.WaitFlagGE(st.flags, me.Rank(), a2aOutboxAck+parity, gate)
-	}
+	st.Gate(v, a2aOutboxAck+parity, int64(gsz-1))
 	out := make([]T, sz*n)
-	targets := 0
 	for j, m := range group {
 		for s := 0; s < sz; s++ {
 			hi := t.GroupOf(s)
@@ -159,20 +147,18 @@ func AlltoallTwoLevel[T any](v *team.View, send, recv []T) {
 			copy(recv, out)
 			continue
 		}
-		pgas.PutThenNotify(me, outbox, t.GlobalRank(m), outboxOff, out, st.flags, a2aOutboxSlot+parity, 1, pgas.ViaShm)
-		targets++
+		pgas.PutThenNotify(me, outbox, t.GlobalRank(m), outboxOff, out, st.Flags, a2aOutboxSlot+parity, 1, pgas.ViaShm)
 	}
-	st.ackExpect[parity][v.Rank] += int64(targets)
 	// Everything staged here is consumed: credit my members' inbox slots and
 	// the peer leaders' pack landings.
 	for _, m := range group {
 		if m != v.Rank {
-			me.NotifyAdd(st.flags, t.GlobalRank(m), a2aInboxCredit+parity, 1, pgas.ViaShm)
+			me.NotifyAdd(st.Flags, t.GlobalRank(m), a2aInboxCredit+parity, 1, pgas.ViaShm)
 		}
 	}
 	for hi, lh := range leaders {
 		if hi != gi {
-			me.NotifyAdd(st.flags, t.GlobalRank(lh), a2aPackCredit+parity, 1, pgas.ViaAuto)
+			me.NotifyAdd(st.Flags, t.GlobalRank(lh), a2aPackCredit+parity, 1, pgas.ViaAuto)
 		}
 	}
 }

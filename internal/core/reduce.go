@@ -1,68 +1,11 @@
 package core
 
 import (
-	"fmt"
-
 	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
 	"cafteams/internal/trace"
 )
-
-// redState carries the two-level reduction flags and counters for one
-// (team, op) pair; its scratch comes from redScratch.
-// Flag layout: slot 0 counts intranode arrivals at the leader, slot 1
-// carries the leader's result release.
-type redState struct {
-	flags *pgas.Flags
-	ep    []int64
-	// expect0/expect1 are per-member local expectations for flag slots 0
-	// and 1. They can lag the episode number when a member's role varies
-	// between episodes (e.g. the broadcast root changes), so each member
-	// tracks exactly how many notifications it should have received.
-	expect0 []int64
-	expect1 []int64
-	// ackExpect[p][r] is leader r's cumulative expected member-ack count
-	// on the parity-p ack slot (fan-out flow control in BcastTwoLevel).
-	ackExpect [2][]int64
-	// sendExpect[p][r] counts the same-parity root->leader handoff puts
-	// image r has issued (BcastTwoLevel's handoff flow control: a root
-	// gates send s on the leader's consumption ack for send s-1).
-	sendExpect [2][]int64
-}
-
-func getRedState(v *team.View, alg string) *redState {
-	return v.Memo(team.MemoKey{Kind: "core:red", Alg: alg}, func() interface{} {
-		return newRedState(v, alg)
-	}).(*redState)
-}
-
-func newRedState(v *team.View, alg string) *redState {
-	w := v.Img.World()
-	key := fmt.Sprintf("core:%s:team%d", alg, v.T.ID())
-	return pgas.LookupOrCreate(w, key, func() interface{} {
-		sz := v.T.Size()
-		cells := make(coll.Counters, 7*sz)
-		return &redState{
-			flags:      pgas.NewFlags(w, key, 7),
-			ep:         cells.Take(sz),
-			expect0:    cells.Take(sz),
-			expect1:    cells.Take(sz),
-			ackExpect:  [2][]int64{cells.Take(sz), cells.Take(sz)},
-			sendExpect: [2][]int64{cells.Take(sz), cells.Take(sz)},
-		}
-	}).(*redState)
-}
-
-// redScratch returns the two-level reduction scratch, one coarray per role:
-// the leader inbox (per parity, one region per position in the largest
-// node group) and the result landing (one region per parity).
-func redScratch[T any](v *team.View, alg string, elems int) (inbox, results *pgas.Coarray[T], cap_, groupRegions int) {
-	groupRegions = v.T.MaxNodeGroup()
-	inbox, cap_ = hierScratch[T](v, alg, "core:inbox", elems, groupRegions)
-	results, _ = hierScratch[T](v, alg, "core:result", elems, 1)
-	return inbox, results, cap_, groupRegions
-}
 
 // AllreduceTwoLevel is the memory-hierarchy-aware all-to-all reduction
 // (paper §IV applied to co_sum/co_max/co_min):
@@ -84,10 +27,15 @@ func AllreduceTwoLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 	n := len(buf)
 	es := pgas.ElemSize[T]()
 	alg := "red2." + op.Name + "." + pgas.TypeName[T]()
-	st := getRedState(v, alg)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
-	inbox, results, cap_, mg := redScratch[T](v, alg, n)
+	// Slot 0 counts intranode arrivals at the leader, slot 1 carries the
+	// leader's result release.
+	st := coll.GetState(v, alg, 2)
+	ep := st.Next(v)
+	// One coarray per role: the leader inbox (one region per position in
+	// the largest node group) and the result landing.
+	mg := t.MaxNodeGroup()
+	inbox, cap_ := coll.Scratch[T](v, alg, "inbox", n, mg)
+	results, _ := coll.Scratch[T](v, alg, "result", n, 1)
 	parity := int(ep % 2)
 	region := func(k int) int { return (parity*mg + k) * cap_ }
 	resultRegion := parity * cap_
@@ -99,21 +47,15 @@ func AllreduceTwoLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 		// Step 1 (slave): contribute my vector to the leader's inbox
 		// slot (my position within the intranode set), then collect the
 		// result in step 3.
-		slot := -1
-		for i, r := range group {
-			if r == v.Rank {
-				slot = i
-			}
-		}
-		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), region(slot), buf, st.flags, 0, 1, pgas.ViaShm)
-		me.WaitFlagGE(st.flags, me.Rank(), 1, ep)
+		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), region(groupPos(group, v.Rank)), buf, st.Flags, 0, 1, pgas.ViaShm)
+		me.WaitFlagGE(st.Flags, me.Rank(), 1, ep)
 		copy(buf, pgas.Local(results, me)[resultRegion:resultRegion+n])
 		me.MemWork(es * n)
 		return
 	}
 	// Step 1 (leader): combine the intranode set's vectors.
 	if len(group) > 1 {
-		me.WaitFlagGE(st.flags, me.Rank(), 0, ep*int64(len(group)-1))
+		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep*int64(len(group)-1))
 		local := pgas.Local(inbox, me)
 		for i, r := range group {
 			if r == v.Rank {
@@ -132,7 +74,7 @@ func AllreduceTwoLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 		if r == v.Rank {
 			continue
 		}
-		pgas.PutThenNotify(me, results, t.GlobalRank(r), resultRegion, buf, st.flags, 1, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, results, t.GlobalRank(r), resultRegion, buf, st.Flags, 1, 1, pgas.ViaShm)
 	}
 }
 
@@ -149,13 +91,15 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	n := len(buf)
 	es := pgas.ElemSize[T]()
 	alg := "bc2." + pgas.TypeName[T]()
-	st := getRedState(v, alg)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	// Slot 0 carries the root's handoff to its leader, slot 1 a leader's
+	// fan-out, slots 3/4 parity member acks, slots 5/6 parity handoff
+	// credits.
+	st := coll.GetState(v, alg, 7)
+	ep := st.Next(v)
 	parity := int(ep % 2)
 	// Every landing — the root's handoff at its leader, a leader's fan-out
 	// at its members — is a result-role region.
-	co, cap_ := hierScratch[T](v, alg, "core:result", n, 1)
+	co, cap_ := coll.Scratch[T](v, alg, "result", n, 1)
 	dataRegion := parity * cap_
 	me := v.Img
 	leader := t.LeaderOf(v.Rank)
@@ -168,49 +112,38 @@ func BcastTwoLevel[T any](v *team.View, root int, buf []T) {
 	// a parity landing region before the leader acked consuming the
 	// previous same-parity handoff (slots 5/6).
 	if v.Rank == root && root != rootLeader {
-		st.sendExpect[parity][v.Rank]++
-		if sends := st.sendExpect[parity][v.Rank]; sends > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), 5+parity, sends-1)
-		}
-		pgas.PutThenNotify(me, co, t.GlobalRank(rootLeader), dataRegion, buf, st.flags, 0, 1, pgas.ViaShm)
+		st.Gate(v, 5+parity, 1)
+		pgas.PutThenNotify(me, co, t.GlobalRank(rootLeader), dataRegion, buf, st.Flags, 0, 1, pgas.ViaShm)
 	}
 	if v.Rank == rootLeader && root != rootLeader {
-		st.expect0[v.Rank]++
-		me.WaitFlagGE(st.flags, me.Rank(), 0, st.expect0[v.Rank])
+		st.Await(v, 0, 1)
 		copy(buf, pgas.Local(co, me)[dataRegion:dataRegion+n])
 		me.MemWork(es * n)
-		me.NotifyAdd(st.flags, t.GlobalRank(root), 5+parity, 1, pgas.ViaShm)
+		me.NotifyAdd(st.Flags, t.GlobalRank(root), 5+parity, 1, pgas.ViaShm)
 	}
 	// Step 1: binomial broadcast among node leaders (internally
 	// flow-controlled).
 	if v.Rank == leader {
 		leaders := t.Leaders()
 		coll.SubgroupBcastBinomial(v, leaders, t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, "core.bc2lead", pgas.ViaConduit)
-		// Fan-out flow control: the intranode set must have consumed the
-		// same-parity fan-out from two episodes ago before its landing
-		// region is overwritten.
-		gate := st.ackExpect[parity][v.Rank]
-		if gate > 0 {
-			me.WaitFlagGE(st.flags, me.Rank(), ackSlot, gate)
-		}
-		// Step 2: fan out to the intranode set over shared memory.
-		targets := 0
+		// Step 2: fan out to the intranode set over shared memory. Flow
+		// control: the intranode set must have consumed the same-parity
+		// fan-out from two episodes ago before its landing region is
+		// overwritten.
+		st.Gate(v, ackSlot, fanOutTargets(v, root))
 		for _, r := range group {
 			if r == v.Rank || r == root {
 				continue
 			}
-			pgas.PutThenNotify(me, co, t.GlobalRank(r), dataRegion, buf, st.flags, 1, 1, pgas.ViaShm)
-			targets++
+			pgas.PutThenNotify(me, co, t.GlobalRank(r), dataRegion, buf, st.Flags, 1, 1, pgas.ViaShm)
 		}
-		st.ackExpect[parity][v.Rank] += int64(targets)
 		return
 	}
 	if v.Rank == root {
 		return // the source already has the data
 	}
-	st.expect1[v.Rank]++
-	me.WaitFlagGE(st.flags, me.Rank(), 1, st.expect1[v.Rank])
+	st.Await(v, 1, 1)
 	copy(buf, pgas.Local(co, me)[dataRegion:dataRegion+n])
 	me.MemWork(es * n)
-	me.NotifyAdd(st.flags, t.GlobalRank(leader), ackSlot, 1, pgas.ViaShm)
+	me.NotifyAdd(st.Flags, t.GlobalRank(leader), ackSlot, 1, pgas.ViaShm)
 }

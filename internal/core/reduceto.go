@@ -13,7 +13,7 @@ import (
 // the root's leader over the network, and the root's leader hands the
 // result to the root over shared memory. Only root's buf holds the result.
 //
-// Flag layout (in the shared redState): slots 5/6 parity intranode arrivals
+// Flag layout: slots 5/6 parity intranode arrivals
 // at the leader (parity-split because members here are only credit-gated,
 // so a fast member can run one episode ahead), slot 1 the root handoff,
 // slots 3/4 parity ack credits for the intranode landing regions.
@@ -26,11 +26,14 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	n := len(buf)
 	es := pgas.ElemSize[T]()
 	alg := "redto2." + op.Name + "." + pgas.TypeName[T]()
-	st := getRedState(v, alg)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	st := coll.GetState(v, alg, 7)
+	ep := st.Next(v)
 	parity := int(ep % 2)
-	inbox, results, cap_, mg := redScratch[T](v, alg, n)
+	// One coarray per role: the leader inbox (one region per position in
+	// the largest node group) and the result landing.
+	mg := t.MaxNodeGroup()
+	inbox, cap_ := coll.Scratch[T](v, alg, "inbox", n, mg)
+	results, _ := coll.Scratch[T](v, alg, "result", n, 1)
 	region := func(k int) int { return (parity*mg + k) * cap_ }
 	resultRegion := parity * cap_
 	ackSlot := 3 + parity
@@ -41,26 +44,13 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 
 	if v.Rank != leader {
 		// Contribute to the node leader; gate region reuse on the
-		// leader's credit for my previous same-parity episode. (Members
-		// use their own ackExpect entries to count same-parity sends;
-		// leaders use theirs for arrival expectations — the roles are
-		// fixed per team, so the entries never conflict.)
-		st.ackExpect[parity][v.Rank]++
-		if sends := st.ackExpect[parity][v.Rank]; sends > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), ackSlot, sends-1)
-		}
-		slot := -1
-		for i, r := range group {
-			if r == v.Rank {
-				slot = i
-			}
-		}
-		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), region(slot), buf, st.flags, 5+parity, 1, pgas.ViaShm)
+		// leader's credit for my previous same-parity episode.
+		st.Gate(v, ackSlot, 1)
+		pgas.PutThenNotify(me, inbox, t.GlobalRank(leader), region(groupPos(group, v.Rank)), buf, st.Flags, 5+parity, 1, pgas.ViaShm)
 		if v.Rank == root {
 			// A non-leader root receives the final result from its
 			// leader.
-			st.expect1[v.Rank]++
-			me.WaitFlagGE(st.flags, me.Rank(), 1, st.expect1[v.Rank])
+			st.Await(v, 1, 1)
 			copy(buf, pgas.Local(results, me)[resultRegion:resultRegion+n])
 			me.MemWork(es * n)
 		}
@@ -68,8 +58,7 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	}
 	// Leader: combine the intranode set, crediting each contributor.
 	if len(group) > 1 {
-		st.ackExpect[parity][v.Rank] += int64(len(group) - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), 5+parity, st.ackExpect[parity][v.Rank])
+		st.Await(v, 5+parity, int64(len(group)-1))
 		local := pgas.Local(inbox, me)
 		for i, r := range group {
 			if r == v.Rank {
@@ -78,7 +67,7 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 			off := region(i)
 			op.Combine(buf, local[off:off+n])
 			me.MemWork(2 * es * n)
-			me.NotifyAdd(st.flags, t.GlobalRank(r), ackSlot, 1, pgas.ViaShm)
+			me.NotifyAdd(st.Flags, t.GlobalRank(r), ackSlot, 1, pgas.ViaShm)
 		}
 	}
 	// Binomial reduce-to-one among leaders, to the root's leader.
@@ -86,6 +75,6 @@ func ReduceToRootTwoLevel[T any](v *team.View, root int, buf []T, op coll.Op[T])
 	coll.SubgroupReduceToRoot(v, leaders, t.LeaderPos(v.Rank), t.LeaderPos(rootLeader), buf, op, "core.redto2lead."+op.Name, pgas.ViaConduit)
 	// Hand the result to a non-leader root.
 	if v.Rank == rootLeader && root != rootLeader {
-		pgas.PutThenNotify(me, results, t.GlobalRank(root), resultRegion, buf, st.flags, 1, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, results, t.GlobalRank(root), resultRegion, buf, st.Flags, 1, 1, pgas.ViaShm)
 	}
 }

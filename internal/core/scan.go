@@ -54,16 +54,15 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	n := len(buf)
 	es := pgas.ElemSize[T]()
 	alg := "scan2." + op.Name + "." + scan2Tag(exclusive) + "." + pgas.TypeName[T]()
-	st := getHierState(v, alg, scan2Slots)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	st := coll.GetState(v, alg, scan2Slots)
+	ep := st.Next(v)
 	parity := int(ep % 2)
 	mg := t.MaxNodeGroup()
 	// Per parity: the leader's inbox (one vector per group position)
 	// followed by its chain landing region, and, in a coarray of its own,
 	// the member's result landing region.
-	lead, cap_ := hierScratch[T](v, alg, "core:inbox", n, mg+1)
-	results, _ := hierScratch[T](v, alg, "core:result", n, 1)
+	lead, cap_ := coll.Scratch[T](v, alg, "inbox", n, mg+1)
+	results, _ := coll.Scratch[T](v, alg, "result", n, 1)
 	base := parity * (mg + 1) * cap_
 	chainOff := base + mg*cap_
 	resultOff := parity * cap_
@@ -76,25 +75,20 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	if v.Rank != leader {
 		// Contribute my vector, gated on the credit for my previous
 		// same-parity contribution; then collect my prefix and ack it.
-		st.slotExpect[v.Rank][scan2InboxCredit+parity]++
-		if sends := st.slotExpect[v.Rank][scan2InboxCredit+parity]; sends > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), scan2InboxCredit+parity, sends-1)
-		}
+		st.Gate(v, scan2InboxCredit+parity, 1)
 		pos := groupPos(group, v.Rank)
-		pgas.PutThenNotify(me, lead, t.GlobalRank(leader), base+pos*cap_, buf, st.flags, scan2InboxSlot+parity, 1, pgas.ViaShm)
-		st.slotExpect[v.Rank][scan2ResultSlot+parity]++
-		me.WaitFlagGE(st.flags, me.Rank(), scan2ResultSlot+parity, st.slotExpect[v.Rank][scan2ResultSlot+parity])
+		pgas.PutThenNotify(me, lead, t.GlobalRank(leader), base+pos*cap_, buf, st.Flags, scan2InboxSlot+parity, 1, pgas.ViaShm)
+		st.Await(v, scan2ResultSlot+parity, 1)
 		copy(buf, pgas.Local(results, me)[resultOff:resultOff+n])
 		me.MemWork(es * n)
-		me.NotifyAdd(st.flags, t.GlobalRank(leader), scan2ResultAck+parity, 1, pgas.ViaShm)
+		me.NotifyAdd(st.Flags, t.GlobalRank(leader), scan2ResultAck+parity, 1, pgas.ViaShm)
 		return
 	}
 
 	// Leader (= the group's lowest team rank, so under the contiguity
 	// requirement the team's rank 0 is always a leader).
 	if gsz > 1 {
-		st.slotExpect[v.Rank][scan2InboxSlot+parity] += int64(gsz - 1)
-		me.WaitFlagGE(st.flags, me.Rank(), scan2InboxSlot+parity, st.slotExpect[v.Rank][scan2InboxSlot+parity])
+		st.Await(v, scan2InboxSlot+parity, int64(gsz-1))
 	}
 	local := pgas.Local(lead, me)
 	// Within-node inclusive prefixes, in group (= team rank) order.
@@ -112,19 +106,18 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 	// The inbox is consumed: credit the contributors.
 	for _, r := range group {
 		if r != v.Rank {
-			me.NotifyAdd(st.flags, t.GlobalRank(r), scan2InboxCredit+parity, 1, pgas.ViaShm)
+			me.NotifyAdd(st.Flags, t.GlobalRank(r), scan2InboxCredit+parity, 1, pgas.ViaShm)
 		}
 	}
 	// Exclusive scan of node totals along the rank-ordered leader chain.
 	chainPos := t.ChainPos(gi)
 	var ex []T // reduction over every preceding node's total; nil at the head
 	if chainPos > 0 {
-		st.slotExpect[v.Rank][scan2ChainSlot+parity]++
-		me.WaitFlagGE(st.flags, me.Rank(), scan2ChainSlot+parity, st.slotExpect[v.Rank][scan2ChainSlot+parity])
+		st.Await(v, scan2ChainSlot+parity, 1)
 		ex = make([]T, n)
 		copy(ex, local[chainOff:chainOff+n])
 		me.MemWork(es * n)
-		me.NotifyAdd(st.flags, t.GlobalRank(t.Leaders()[order[chainPos-1]]), scan2ChainCredit+parity, 1, pgas.ViaAuto)
+		me.NotifyAdd(st.Flags, t.GlobalRank(t.Leaders()[order[chainPos-1]]), scan2ChainCredit+parity, 1, pgas.ViaAuto)
 	}
 	if chainPos < len(order)-1 {
 		fwd := acc // node total, already the running prefix over my groups
@@ -135,18 +128,13 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 			me.MemWork(3 * es * n)
 		}
 		// Gate on the successor's credit for my previous same-parity send.
-		st.slotExpect[v.Rank][scan2ChainCredit+parity]++
-		if sends := st.slotExpect[v.Rank][scan2ChainCredit+parity]; sends > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), scan2ChainCredit+parity, sends-1)
-		}
+		st.Gate(v, scan2ChainCredit+parity, 1)
 		next := t.Leaders()[order[chainPos+1]]
-		pgas.PutThenNotify(me, lead, t.GlobalRank(next), chainOff, fwd, st.flags, scan2ChainSlot+parity, 1, pgas.ViaAuto)
+		pgas.PutThenNotify(me, lead, t.GlobalRank(next), chainOff, fwd, st.Flags, scan2ChainSlot+parity, 1, pgas.ViaAuto)
 	}
 	// Fold the node-exclusive prefix into each member's result and deliver,
 	// gated on the acks for the previous same-parity fan-out.
-	if gate := st.ackExpect[parity][v.Rank]; gate > 0 {
-		me.WaitFlagGE(st.flags, me.Rank(), scan2ResultAck+parity, gate)
-	}
+	st.Gate(v, scan2ResultAck+parity, int64(gsz-1))
 	fold := func(withinIncl []T) []T {
 		if ex == nil {
 			return withinIncl
@@ -157,7 +145,6 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 		me.MemWork(3 * es * n)
 		return res
 	}
-	targets := 0
 	for j, r := range group {
 		var res []T
 		switch {
@@ -175,10 +162,8 @@ func ScanTwoLevel[T any](v *team.View, buf []T, op coll.Op[T], exclusive bool) {
 			}
 			continue
 		}
-		pgas.PutThenNotify(me, results, t.GlobalRank(r), resultOff, res, st.flags, scan2ResultSlot+parity, 1, pgas.ViaShm)
-		targets++
+		pgas.PutThenNotify(me, results, t.GlobalRank(r), resultOff, res, st.Flags, scan2ResultSlot+parity, 1, pgas.ViaShm)
 	}
-	st.ackExpect[parity][v.Rank] += int64(targets)
 }
 
 // ScanFlatFallback is the placement-oblivious algorithm ScanTwoLevel

@@ -9,83 +9,6 @@ import (
 	"cafteams/internal/trace"
 )
 
-// hierState is the per-(team, algorithm) plumbing shared by the
-// hierarchy-aware scatter/gather/alltoall/scan collectives: a flag array,
-// per-member episode counters, exact per-slot arrival expectations (roles
-// vary with the root, so episode numbers over-count), and per-parity
-// aggregate ack expectations for leader fan-outs.
-type hierState struct {
-	flags *pgas.Flags
-	ep    []int64
-	// slotExpect[r][s] is member r's cumulative expected arrival count on
-	// flag slot s. Doubling as a send counter on credit slots: before a
-	// member's k-th same-parity send it waits for k-1 credits, which (one
-	// credit per consumed send) proves every previous landing region it
-	// wrote — on whichever image — was consumed.
-	slotExpect [][]int64
-	// ackExpect[p][r] is leader r's cumulative expected member-ack count on
-	// its parity-p ack slot (fan-out flow control: the leader may not
-	// overwrite its members' landing regions before the previous same-parity
-	// fan-out was consumed everywhere).
-	ackExpect [2][]int64
-}
-
-func getHierState(v *team.View, alg string, slots int) *hierState {
-	return v.Memo(team.MemoKey{Kind: "core:hier", Alg: alg}, func() interface{} {
-		w := v.Img.World()
-		key := fmt.Sprintf("core:%s:team%d", alg, v.T.ID())
-		return pgas.LookupOrCreate(w, key, func() interface{} {
-			sz := v.T.Size()
-			cells := make(coll.Counters, (3+slots)*sz)
-			s := &hierState{
-				flags:      pgas.NewFlags(w, key, slots),
-				ep:         cells.Take(sz),
-				slotExpect: make([][]int64, sz),
-				ackExpect:  [2][]int64{cells.Take(sz), cells.Take(sz)},
-			}
-			for i := range s.slotExpect {
-				s.slotExpect[i] = cells.Take(slots)
-			}
-			return s
-		})
-	}).(*hierState)
-}
-
-// sizeClass rounds elems up to the power-of-two scratch size class (16
-// minimum, mirroring coll.bucket) — the single bucketing rule every core
-// scratch layout derives region offsets from, so blocking, split-phase and
-// hierarchy-aware layouts cannot drift apart.
-func sizeClass(elems int) int {
-	c := 16
-	for c < elems {
-		c <<= 1
-	}
-	return c
-}
-
-// hierScratch returns one role's scratch coarray of a two-level layout:
-// `regions` cap-sized regions per parity, cap = the size class of elems (so
-// repeated calls with varying vector lengths reuse one allocation per size
-// class). Every role of a layout (a leader's inbox, a member's result
-// landing...) gets its own coarray, so first touch allocates on each image
-// only the regions its role uses. role is a constant tag naming the role.
-func hierScratch[T any](v *team.View, alg, role string, elems, regions int) (*pgas.Coarray[T], int) {
-	cap_ := sizeClass(elems)
-	x := v.Memo(team.MemoKey{Kind: role, Alg: alg, N: cap_, M: regions}, func() interface{} {
-		return newHierScratch[T](v, alg, role, cap_, regions)
-	})
-	if co, ok := x.(*pgas.Coarray[T]); ok {
-		return co, cap_
-	}
-	// Memo slot taken by another element type: the registry disambiguates.
-	return newHierScratch[T](v, alg, role, cap_, regions), cap_
-}
-
-func newHierScratch[T any](v *team.View, alg, role string, cap_, regions int) *pgas.Coarray[T] {
-	name := fmt.Sprintf("%s:%s:team%d:cap%d", role, alg, v.T.ID(), cap_)
-	return pgas.NewTeamCoarray[T](v.Img.World(), name, cap_*2*regions, v.T.Members())
-}
-
 // groupPos returns rank's index within its (ascending) node group.
 func groupPos(group []int, rank int) int {
 	for i, r := range group {
@@ -94,6 +17,17 @@ func groupPos(group []int, rank int) int {
 		}
 	}
 	panic(fmt.Sprintf("core: rank %d not in group %v", rank, group))
+}
+
+// fanOutTargets returns how many members of a node leader's intranode set
+// receive its fan-out in an episode rooted at team rank root: everyone but
+// the leader itself and the root, which already holds its data.
+func fanOutTargets(v *team.View, root int) int64 {
+	n := len(v.T.NodeGroup(v.T.GroupOf(v.Rank))) - 1
+	if root != v.Rank && v.T.LeaderOf(root) == v.Rank {
+		n--
+	}
+	return int64(n)
 }
 
 // Flag slots of the two-level scatter: parity pack arrivals at a leader
@@ -121,7 +55,7 @@ const (
 // done-stamp wave published by each episode's root (after every leader acked
 // consuming its pack) gates the next same-parity root's injection, member
 // landing regions are guarded by member→leader acks, and all arrival waits
-// count exactly (slotExpect) because each image's role depends on the root.
+// count exactly because each image's role depends on the root.
 func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	t := v.T
 	sz := t.Size()
@@ -139,16 +73,15 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		return
 	}
 	alg := "sc2." + pgas.TypeName[T]()
-	st := getHierState(v, alg, sc2Slots)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	st := coll.GetState(v, alg, sc2Slots)
+	ep := st.Next(v)
 	parity := int(ep % 2)
 	maxGroup := t.MaxNodeGroup()
 	// Per parity: a leader's pack landing area (maxGroup blocks, written by
 	// the episode root) and a member's block landing region (written by the
 	// image's node leader).
-	packs, cap_ := hierScratch[T](v, alg, "core:inbox", n, maxGroup)
-	blocks, _ := hierScratch[T](v, alg, "core:result", n, 1)
+	packs, cap_ := coll.Scratch[T](v, alg, "inbox", n, maxGroup)
+	blocks, _ := coll.Scratch[T](v, alg, "result", n, 1)
 	packBase := parity * maxGroup * cap_
 	blockOff := parity * cap_
 	me := v.Img
@@ -160,7 +93,7 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		// Injection gate: the pack regions this episode overwrites were last
 		// written two same-parity episodes ago, possibly by a different
 		// root; only the done stamp proves they were consumed.
-		me.WaitFlagGE(st.flags, me.Rank(), sc2Done, ep-2)
+		me.WaitFlagGE(st.Flags, me.Rank(), sc2Done, ep-2)
 		sent := 0
 		for gi, l := range leaders {
 			if l == root {
@@ -172,23 +105,22 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 				copy(pack[i*n:(i+1)*n], send[r*n:r*n+n])
 			}
 			me.MemWork(es * len(pack))
-			pgas.PutThenNotify(me, packs, t.GlobalRank(l), packBase, pack, st.flags, sc2PackSlot+parity, 1, pgas.ViaAuto)
+			pgas.PutThenNotify(me, packs, t.GlobalRank(l), packBase, pack, st.Flags, sc2PackSlot+parity, 1, pgas.ViaAuto)
 			sent++
 		}
 		if v.Rank == leader {
 			// A root that leads its node fans out straight from send.
-			scatterFanOut(v, st, blocks, blockOff, parity, root, group, es, n,
+			scatterFanOut(v, st, blocks, blockOff, parity, root, group,
 				func(i, r int) []T { return send[r*n : r*n+n] })
 		}
 		if sent > 0 {
-			st.slotExpect[v.Rank][sc2RootAck+parity] += int64(sent)
-			me.WaitFlagGE(st.flags, me.Rank(), sc2RootAck+parity, st.slotExpect[v.Rank][sc2RootAck+parity])
+			st.Await(v, sc2RootAck+parity, int64(sent))
 		}
 		// Publish completion to every potential future root.
-		me.SetLocal(st.flags, sc2Done, ep)
+		me.SetLocal(st.Flags, sc2Done, ep)
 		for r := 0; r < sz; r++ {
 			if r != root {
-				me.NotifySet(st.flags, t.GlobalRank(r), sc2Done, ep, pgas.ViaAuto)
+				me.NotifySet(st.Flags, t.GlobalRank(r), sc2Done, ep, pgas.ViaAuto)
 			}
 		}
 		return
@@ -197,44 +129,35 @@ func ScatterTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		// Receive the root's node block, keep my slice, fan the rest out
 		// over shared memory, then ack the root (my pack region is free the
 		// moment the fan-out puts are issued — puts capture data at issue).
-		st.slotExpect[v.Rank][sc2PackSlot+parity]++
-		me.WaitFlagGE(st.flags, me.Rank(), sc2PackSlot+parity, st.slotExpect[v.Rank][sc2PackSlot+parity])
+		st.Await(v, sc2PackSlot+parity, 1)
 		local := pgas.Local(packs, me)
 		pos := groupPos(group, v.Rank)
 		copy(recv, local[packBase+pos*n:packBase+pos*n+n])
 		me.MemWork(es * n)
-		scatterFanOut(v, st, blocks, blockOff, parity, root, group, es, n,
+		scatterFanOut(v, st, blocks, blockOff, parity, root, group,
 			func(i, r int) []T { return local[packBase+i*n : packBase+(i+1)*n] })
-		me.NotifyAdd(st.flags, t.GlobalRank(root), sc2RootAck+parity, 1, pgas.ViaAuto)
+		me.NotifyAdd(st.Flags, t.GlobalRank(root), sc2RootAck+parity, 1, pgas.ViaAuto)
 		return
 	}
 	// Member: exactly one block arrives, from my node leader, over shared
 	// memory; ack it so the leader may reuse my landing region.
-	st.slotExpect[v.Rank][sc2BlockSlot+parity]++
-	me.WaitFlagGE(st.flags, me.Rank(), sc2BlockSlot+parity, st.slotExpect[v.Rank][sc2BlockSlot+parity])
+	st.Await(v, sc2BlockSlot+parity, 1)
 	copy(recv, pgas.Local(blocks, me)[blockOff:blockOff+n])
 	me.MemWork(es * n)
-	me.NotifyAdd(st.flags, t.GlobalRank(leader), sc2MemberAck+parity, 1, pgas.ViaShm)
+	me.NotifyAdd(st.Flags, t.GlobalRank(leader), sc2MemberAck+parity, 1, pgas.ViaShm)
 }
 
 // scatterFanOut delivers per-member blocks to the leader's intranode set,
 // gated on the acks for the previous same-parity fan-out. block(i, r) yields
 // group position i / team rank r's block.
-func scatterFanOut[T any](v *team.View, st *hierState, blocks *pgas.Coarray[T], blockOff, parity, root int, group []int, es, n int, block func(i, r int) []T) {
-	me := v.Img
-	t := v.T
-	if gate := st.ackExpect[parity][v.Rank]; gate > 0 {
-		me.WaitFlagGE(st.flags, me.Rank(), sc2MemberAck+parity, gate)
-	}
-	targets := 0
+func scatterFanOut[T any](v *team.View, st *coll.State, blocks *pgas.Coarray[T], blockOff, parity, root int, group []int, block func(i, r int) []T) {
+	st.Gate(v, sc2MemberAck+parity, fanOutTargets(v, root))
 	for i, r := range group {
 		if r == v.Rank || r == root {
 			continue
 		}
-		pgas.PutThenNotify(me, blocks, t.GlobalRank(r), blockOff, block(i, r), st.flags, sc2BlockSlot+parity, 1, pgas.ViaShm)
-		targets++
+		pgas.PutThenNotify(v.Img, blocks, v.T.GlobalRank(r), blockOff, block(i, r), st.Flags, sc2BlockSlot+parity, 1, pgas.ViaShm)
 	}
-	st.ackExpect[parity][v.Rank] += int64(targets)
 }
 
 // Flag slots of the two-level gather: parity member-block arrivals at a
@@ -278,9 +201,8 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		return
 	}
 	alg := "ga2." + pgas.TypeName[T]()
-	st := getHierState(v, alg, ga2Slots)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	st := coll.GetState(v, alg, ga2Slots)
+	ep := st.Next(v)
 	parity := int(ep % 2)
 	maxGroup := t.MaxNodeGroup()
 	leaders := t.Leaders()
@@ -288,8 +210,8 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	// Per parity: a leader's pack assembly area (maxGroup blocks, written
 	// by its intranode set), and at the episode root one pack landing
 	// region per node group (written by that group's leader).
-	packs, cap_ := hierScratch[T](v, alg, "core:inbox", n, maxGroup)
-	lands, _ := hierScratch[T](v, alg, "core:root", n, maxGroup*ng)
+	packs, cap_ := coll.Scratch[T](v, alg, "inbox", n, maxGroup)
+	lands, _ := coll.Scratch[T](v, alg, "root", n, maxGroup*ng)
 	packBase := parity * maxGroup * cap_
 	landBase := func(gi int) int { return (parity*ng + gi) * maxGroup * cap_ }
 	me := v.Img
@@ -299,12 +221,9 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 	if v.Rank != leader && v.Rank != root {
 		// Contribute my block to the leader's pack at my group position,
 		// gated on the credit for my previous same-parity contribution.
-		st.slotExpect[v.Rank][ga2MemberCredit+parity]++
-		if sends := st.slotExpect[v.Rank][ga2MemberCredit+parity]; sends > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), ga2MemberCredit+parity, sends-1)
-		}
+		st.Gate(v, ga2MemberCredit+parity, 1)
 		pos := groupPos(group, v.Rank)
-		pgas.PutThenNotify(me, packs, t.GlobalRank(leader), packBase+pos*n, send, st.flags, ga2BlockSlot+parity, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, packs, t.GlobalRank(leader), packBase+pos*n, send, st.Flags, ga2BlockSlot+parity, 1, pgas.ViaShm)
 		return
 	}
 	var local []T // my pack assembly area, at a leader
@@ -319,8 +238,7 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 			}
 		}
 		if contribs > 0 {
-			st.slotExpect[v.Rank][ga2BlockSlot+parity] += int64(contribs)
-			me.WaitFlagGE(st.flags, me.Rank(), ga2BlockSlot+parity, st.slotExpect[v.Rank][ga2BlockSlot+parity])
+			st.Await(v, ga2BlockSlot+parity, int64(contribs))
 		}
 		if v.Rank != root {
 			pos := groupPos(group, v.Rank)
@@ -329,16 +247,13 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 			// Ship the whole pack to the root, gated on the credit for my
 			// previous same-parity pack (a root's slot in the pack is a
 			// hole the unpack skips).
-			st.slotExpect[v.Rank][ga2LeaderCredit+parity]++
-			if sends := st.slotExpect[v.Rank][ga2LeaderCredit+parity]; sends > 1 {
-				me.WaitFlagGE(st.flags, me.Rank(), ga2LeaderCredit+parity, sends-1)
-			}
+			st.Gate(v, ga2LeaderCredit+parity, 1)
 			gi := t.GroupOf(v.Rank)
-			pgas.PutThenNotify(me, lands, t.GlobalRank(root), landBase(gi), local[packBase:packBase+len(group)*n], st.flags, ga2PackSlot+parity, 1, pgas.ViaAuto)
+			pgas.PutThenNotify(me, lands, t.GlobalRank(root), landBase(gi), local[packBase:packBase+len(group)*n], st.Flags, ga2PackSlot+parity, 1, pgas.ViaAuto)
 			// The pack area is consumed the moment the put is issued.
 			for _, r := range group {
 				if r != v.Rank && r != root {
-					me.NotifyAdd(st.flags, t.GlobalRank(r), ga2MemberCredit+parity, 1, pgas.ViaShm)
+					me.NotifyAdd(st.Flags, t.GlobalRank(r), ga2MemberCredit+parity, 1, pgas.ViaShm)
 				}
 			}
 			return
@@ -352,8 +267,7 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 		}
 	}
 	if sendersExpected > 0 {
-		st.slotExpect[v.Rank][ga2PackSlot+parity] += int64(sendersExpected)
-		me.WaitFlagGE(st.flags, me.Rank(), ga2PackSlot+parity, st.slotExpect[v.Rank][ga2PackSlot+parity])
+		st.Await(v, ga2PackSlot+parity, int64(sendersExpected))
 	}
 	var landed []T
 	if sendersExpected > 0 {
@@ -373,14 +287,14 @@ func GatherTwoLevel[T any](v *team.View, root int, send, recv []T) {
 			me.MemWork(es * n)
 		}
 		if l != root {
-			me.NotifyAdd(st.flags, t.GlobalRank(l), ga2LeaderCredit+parity, 1, pgas.ViaAuto)
+			me.NotifyAdd(st.Flags, t.GlobalRank(l), ga2LeaderCredit+parity, 1, pgas.ViaAuto)
 		}
 	}
 	if v.Rank == leader {
 		// A root that leads its node credits its contributors itself.
 		for _, r := range group {
 			if r != v.Rank {
-				me.NotifyAdd(st.flags, t.GlobalRank(r), ga2MemberCredit+parity, 1, pgas.ViaShm)
+				me.NotifyAdd(st.Flags, t.GlobalRank(r), ga2MemberCredit+parity, 1, pgas.ViaShm)
 			}
 		}
 	}

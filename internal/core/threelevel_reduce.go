@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"cafteams/internal/coll"
 	"cafteams/internal/pgas"
 	"cafteams/internal/team"
@@ -29,18 +27,17 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 	n := len(buf)
 	es := pgas.ElemSize[T]()
 	alg := "red3." + op.Name + "." + pgas.TypeName[T]()
-	st := getRedState(v, alg)
-	st.ep[v.Rank]++
-	ep := st.ep[v.Rank]
+	st := coll.GetState(v, alg, 4)
+	ep := st.Next(v)
 	// One coarray per role: socket leaders' inboxes for their socket
 	// group, node leaders' inboxes for the other socket leaders, and the
 	// result landing. The two inboxes must not share regions: at a node
 	// leader both its own socket's members and the other socket leaders
 	// deposit concurrently.
 	maxGroup, maxLead := t.MaxSocketShape()
-	sockIn, cap_ := hierScratch[T](v, alg, "core:inbox", n, maxGroup)
-	nodeIn, _ := hierScratch[T](v, alg, "core:nodeinbox", n, maxLead)
-	results, _ := hierScratch[T](v, alg, "core:result", n, 1)
+	sockIn, cap_ := coll.Scratch[T](v, alg, "inbox", n, maxGroup)
+	nodeIn, _ := coll.Scratch[T](v, alg, "nodeinbox", n, maxLead)
+	results, _ := coll.Scratch[T](v, alg, "result", n, 1)
 	parity := int(ep % 2)
 	sockRegion := func(k int) int { return (parity*maxGroup + k) * cap_ }
 	nodeRegion := func(k int) int { return (parity*maxLead + k) * cap_ }
@@ -55,16 +52,15 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 
 	if v.Rank != mySocketLeader {
 		// Step 1 (core): contribute to the socket leader, await result.
-		slot := slotIn(mySocketGroup, v.Rank)
-		pgas.PutThenNotify(me, sockIn, t.GlobalRank(mySocketLeader), sockRegion(slot), buf, st.flags, 0, 1, pgas.ViaShm)
-		me.WaitFlagGE(st.flags, me.Rank(), 1, ep)
+		pgas.PutThenNotify(me, sockIn, t.GlobalRank(mySocketLeader), sockRegion(groupPos(mySocketGroup, v.Rank)), buf, st.Flags, 0, 1, pgas.ViaShm)
+		me.WaitFlagGE(st.Flags, me.Rank(), 1, ep)
 		copy(buf, pgas.Local(results, me)[resultRegion:resultRegion+n])
 		me.MemWork(es * n)
 		return
 	}
 	// Socket leader: combine the socket group's vectors.
 	if len(mySocketGroup) > 1 {
-		me.WaitFlagGE(st.flags, me.Rank(), 0, ep*int64(len(mySocketGroup)-1))
+		me.WaitFlagGE(st.Flags, me.Rank(), 0, ep*int64(len(mySocketGroup)-1))
 		local := pgas.Local(sockIn, me)
 		for i, r := range mySocketGroup {
 			if r == v.Rank {
@@ -78,14 +74,14 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 	if v.Rank != nodeLeader {
 		// Step 2 (socket leader): contribute to the node leader, await
 		// result, then release the socket.
-		pgas.PutThenNotify(me, nodeIn, t.GlobalRank(nodeLeader), nodeRegion(slotIn(sleaders, v.Rank)), buf, st.flags, 2, 1, pgas.ViaShm)
-		me.WaitFlagGE(st.flags, me.Rank(), 3, ep)
+		pgas.PutThenNotify(me, nodeIn, t.GlobalRank(nodeLeader), nodeRegion(groupPos(sleaders, v.Rank)), buf, st.Flags, 2, 1, pgas.ViaShm)
+		me.WaitFlagGE(st.Flags, me.Rank(), 3, ep)
 		copy(buf, pgas.Local(results, me)[resultRegion:resultRegion+n])
 		me.MemWork(es * n)
 	} else {
 		// Node leader: combine the other socket leaders' partials.
 		if len(sleaders) > 1 {
-			me.WaitFlagGE(st.flags, me.Rank(), 2, ep*int64(len(sleaders)-1))
+			me.WaitFlagGE(st.Flags, me.Rank(), 2, ep*int64(len(sleaders)-1))
 			local := pgas.Local(nodeIn, me)
 			for i, r := range sleaders {
 				if r == v.Rank {
@@ -103,7 +99,7 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 			if sl == v.Rank {
 				continue
 			}
-			pgas.PutThenNotify(me, results, t.GlobalRank(sl), resultRegion, buf, st.flags, 3, 1, pgas.ViaShm)
+			pgas.PutThenNotify(me, results, t.GlobalRank(sl), resultRegion, buf, st.Flags, 3, 1, pgas.ViaShm)
 		}
 	}
 	// Step 5: release my socket group.
@@ -111,16 +107,6 @@ func AllreduceThreeLevel[T any](v *team.View, buf []T, op coll.Op[T]) {
 		if r == v.Rank {
 			continue
 		}
-		pgas.PutThenNotify(me, results, t.GlobalRank(r), resultRegion, buf, st.flags, 1, 1, pgas.ViaShm)
+		pgas.PutThenNotify(me, results, t.GlobalRank(r), resultRegion, buf, st.Flags, 1, 1, pgas.ViaShm)
 	}
-}
-
-// slotIn returns r's index within group.
-func slotIn(group []int, r int) int {
-	for i, g := range group {
-		if g == r {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("core: rank %d not in group %v", r, group))
 }

@@ -63,7 +63,12 @@ type View struct {
 	Img  *pgas.Image
 
 	// memo caches per-view lookups of shared per-team objects (see Memo).
-	memo map[MemoKey]interface{}
+	memo []memoEntry
+}
+
+type memoEntry struct {
+	key MemoKey
+	val interface{}
 }
 
 // MemoKey keys one view-cached lookup: a kind tag, an algorithm name, and
@@ -80,16 +85,17 @@ type MemoKey struct {
 // (and their formatted string keys) on the hot path: the view is one
 // image's private handle, so no locking is needed on either backend, while
 // mk typically delegates to pgas.LookupOrCreate so the *cached object*
-// stays shared team-wide.
+// stays shared team-wide. A view holds a handful of entries (a state and a
+// few scratch roles per algorithm it runs), so they are a list scanned in
+// order: a map's first bucket alone would cost each image ~600 bytes.
 func (v *View) Memo(key MemoKey, mk func() interface{}) interface{} {
-	if x, ok := v.memo[key]; ok {
-		return x
-	}
-	if v.memo == nil {
-		v.memo = make(map[MemoKey]interface{})
+	for i := range v.memo {
+		if v.memo[i].key == key {
+			return v.memo[i].val
+		}
 	}
 	x := mk()
-	v.memo[key] = x
+	v.memo = append(v.memo, memoEntry{key, x})
 	return x
 }
 
