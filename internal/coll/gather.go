@@ -55,7 +55,6 @@ func GatherLinear[T any](v *team.View, root int, send, recv []T, via pgas.Via) {
 		}
 		return
 	}
-	// Gate on the credit for my previous same-parity send.
 	st.Gate(v, creditSlot, 1)
 	off := (parity*sz + v.Rank) * cap_
 	pgas.PutThenNotify(me, co, v.T.GlobalRank(root), off, send, st.Flags, arriveSlot, 1, via)

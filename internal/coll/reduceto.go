@@ -109,7 +109,6 @@ func ReduceToRootLinear[T any](v *team.View, root int, buf []T, op Op[T], via pg
 		}
 		return
 	}
-	// Gate on the credit for my previous same-parity send.
 	st.Gate(v, creditSlot, 1)
 	off := (parity*sz + v.Rank) * cap_
 	pgas.PutThenNotify(me, co, v.T.GlobalRank(root), off, buf, st.Flags, arriveSlot, 1, via)

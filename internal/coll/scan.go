@@ -68,7 +68,6 @@ func ScanLinear[T any](v *team.View, buf []T, op Op[T], exclusive bool, via pgas
 		}
 	}
 	if r < sz-1 {
-		// Gate on the credit for my previous same-parity send.
 		st.Gate(v, creditSlot, 1)
 		pgas.PutThenNotify(me, co, v.T.GlobalRank(r+1), reg, fwd, st.Flags, 0, 1, via)
 	}
